@@ -36,7 +36,7 @@ use crate::platform::Platform;
 use crate::reference::{HorizonScan, ViewRebuild};
 use crate::result::SimResult;
 use crate::sched_api::{Allocation, OnlineScheduler, TickView};
-use crate::sim::{HandoffMode, PlatformMode, SimConfig};
+use crate::sim::{HandoffMode, SimConfig};
 use crate::trace::Trace;
 use dagsched_core::{ticks_to_complete, JobId, NodeId, Result, SchedError, Time};
 use dagsched_workload::Instance;
@@ -84,24 +84,14 @@ pub struct SimDriver<'a, O: SimObserver = NullObserver> {
     bounded: bool,
     /// Whether the [`EventKernel`] is maintained at all
     /// ([`SimConfig::window`] is [`WindowMode::EventKernel`]). Governs the
-    /// expiry index and idle-skip source on *both* execution paths.
+    /// expiry index and idle-skip source on *both* execution paths, and on
+    /// the fast-forward path the non-completion part of every window
+    /// (otherwise taken from the [`HorizonScan`] twin).
     kernel_on: bool,
-    /// Whether fast-forward windows come from the kernel (`kernel_on`, the
-    /// fast-forward path is engaged, and the scheduler's completion keys
-    /// are stable). Otherwise the fast-forward path falls back to the
-    /// [`HorizonScan`] twin.
-    kernel_windows: bool,
     /// Whether the scheduler handoff runs on the maintained view + delta
     /// path ([`HandoffMode::Delta`]). Otherwise every step rebuilds the
     /// view via the frozen [`ViewRebuild`] twin and calls `allocate_into`.
     delta_on: bool,
-    /// Whether the platform runs grouped arithmetic
-    /// ([`PlatformMode::Grouped`]). Governs the kernel's completion-entry
-    /// re-push rule: the grouped path re-pushes a node's entry after any
-    /// claim gap (frontiers are not monotone across groups — see
-    /// [`events`](crate::events)); the frozen scalar twin keeps the
-    /// pre-group moved-frontier-only rule.
-    grouped: bool,
     /// `obs.is_active()`, pinned at construction; a compile-time `false`
     /// for the [`NullObserver`] instantiation.
     observing: bool,
@@ -169,11 +159,6 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
             && (stable || bounded);
         let bounded = bounded && fast_forward;
         let kernel_on = matches!(cfg.window, WindowMode::EventKernel);
-        // Kernel windows additionally need stable completion keys: a
-        // claimed node's entry is re-keyed only when its frontier moves,
-        // which is sound only if the allocation cannot silently reshuffle
-        // between events.
-        let kernel_windows = kernel_on && fast_forward && sched.completion_keys_stable();
         let delta_on = matches!(cfg.handoff, HandoffMode::Delta);
         let mut kernel = EventKernel::new(n);
         if kernel_on {
@@ -190,9 +175,7 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
             fast_forward,
             bounded,
             kernel_on,
-            kernel_windows,
             delta_on,
-            grouped: matches!(cfg.platform, PlatformMode::Grouped),
             observing,
             done: false,
             poisoned: false,
@@ -382,25 +365,19 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
         // finish and no arrival / expiry / horizon boundary falls, and
         // advance the whole window in one engine step.
         if self.fast_forward {
-            // Kernel windows: stamp this step's claim epoch; every node
-            // claimed below refreshes its stamp, and its completion entry
-            // is (re-)pushed only when its frontier actually moved.
-            let epoch = if self.kernel_windows {
-                self.kernel.begin_step()
-            } else {
-                0
-            };
             let sc = &mut self.scratch;
             sc.claimed.clear();
             // Minimum over claimed nodes of the ticks until completion,
             // ceil(remaining / units): within `min_q - 1` ticks no claimed
             // node finishes, so the ready sets — and with them every pick
-            // and every allocation — are frozen. On the kernel path the
-            // same quantity lives in the heap as per-node completion
-            // frontiers `t + q - 1` instead of a per-step fold.
+            // and every allocation — are frozen. A node finishing this
+            // very tick (`q == 1`) makes the window zero: the kernel path
+            // stops claiming and runs the reference tick. The scan twin
+            // keeps its frozen per-step cost — the full claim pass and the
+            // rescan run even then.
             let mut min_q = u64::MAX;
             let mut cursor = 0usize;
-            for &(id, k) in &sc.alloc {
+            'claim: for &(id, k) in &sc.alloc {
                 let l = self.life.live[id.index()]
                     .as_mut()
                     .expect("validated alive");
@@ -412,145 +389,109 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
                     // The i-th picked node binds to the i-th processor the
                     // entry consumes — the same pairing the reference
                     // path's per-processor loop realizes.
-                    let (pu, grp) = match uniform_units {
-                        Some(u) => (u, 0u32),
-                        None => (
-                            self.platform.proc_units()[cursor + i],
-                            self.platform.proc_group()[cursor + i],
-                        ),
+                    let pu = match uniform_units {
+                        Some(u) => u,
+                        None => self.platform.proc_units()[cursor + i],
                     };
-                    let rem = l.state.node_remaining(node).units();
-                    let q = ticks_to_complete(rem, pu);
-                    if self.kernel_windows {
-                        let frontier = t.after(q - 1);
-                        let prev = l.armed_done[node.index()];
-                        // Grouped platforms additionally re-push after any
-                        // claim gap: a node re-claimed onto a faster group
-                        // can reproduce a frontier whose entry was already
-                        // discarded as epoch-stale (see `events`). The
-                        // scalar twin keeps the frozen moved-frontier-only
-                        // rule, sound under uniform monotonicity.
-                        let gap_repush = self.grouped && l.claim_epoch[node.index()] + 1 != epoch;
-                        if prev != frontier || gap_repush {
-                            l.armed_done[node.index()] = frontier;
-                            self.kernel
-                                .arm_completion(id, node, grp, frontier, prev != Time::MAX);
-                        }
-                        l.claim_epoch[node.index()] = epoch;
-                    } else {
-                        min_q = min_q.min(q);
+                    let q = ticks_to_complete(l.state.node_remaining(node).units(), pu);
+                    min_q = min_q.min(q);
+                    if min_q <= 1 && self.kernel_on {
+                        break 'claim;
                     }
                     sc.claimed.push((id, node, pu));
                 }
                 cursor += k as usize;
             }
-            // Bounded stability: the plan may change at the scheduler's
-            // next boundary even with no job event in between, so every
-            // window is additionally capped at `stable_until`. `None`
-            // means no further boundary (stable to the next event, like a
-            // fully stable scheduler); a boundary at or before `t` means a
-            // single-tick window.
-            let bound_cap = if self.bounded {
-                match self.sched.stable_until(t) {
-                    Some(until) if until > t => until.since(t),
-                    Some(_) => 1,
-                    None => u64::MAX,
-                }
-            } else {
-                u64::MAX
-            };
-            // Window width in ticks. Every cap is ≥ 1 (after the idle
-            // skip the next arrival is strictly in the future, after step 2
-            // every zero-tail job is strictly before its expiry boundary,
-            // and the run guard keeps t < horizon), so s == 0 iff a claimed
-            // node completes this very tick — which runs on the reference
-            // path. An empty claim set (empty allocation) also runs the
-            // reference tick: the naive path counts allocation-idle ticks
-            // one by one, and `ticks_simulated` must stay byte-identical.
-            if !sc.claimed.is_empty() {
-                let s = if self.kernel_windows {
-                    self.kernel.window(t, &self.life)
+            // The window engages when nodes were claimed, or when a bounded
+            // scheduler idles *deliberately*: an empty allocation with alive
+            // jobs is a plan gap (no slot at this tick), and within
+            // `bound_cap` the per-tick re-decision cannot change it, so the
+            // whole gap is one window — the reference path would emit `s`
+            // identical empty-allocation ticks, which the event log
+            // coalesces into exactly this window, and `advance_window`
+            // charges the same `ticks_simulated`. Restricted to bounded
+            // schedulers so fully stable schedulers keep their frozen
+            // per-tick idle accounting. When the last alive job left during
+            // this step's own event phases the window has no job boundary
+            // left to cap it — fall through to the single reference tick
+            // the naive path charges before its run guard ends the run. Any
+            // other empty claim set also runs the reference tick: the naive
+            // path counts allocation-idle ticks one by one, and
+            // `ticks_simulated` must stay byte-identical.
+            let engaged = !sc.claimed.is_empty()
+                || (self.bounded && sc.alloc.is_empty() && !self.life.alive.is_empty());
+            let s = if engaged && (min_q > 1 || !self.kernel_on) {
+                // Bounded stability: the plan may change at the scheduler's
+                // next boundary even with no job event in between, so every
+                // window is additionally capped at `stable_until`. `None`
+                // means no further boundary (stable to the next event, like
+                // a fully stable scheduler); a boundary at or before `t`
+                // means a single-tick window.
+                let bound_cap = if self.bounded {
+                    match self.sched.stable_until(t) {
+                        Some(until) if until > t => until.since(t),
+                        Some(_) => 1,
+                        None => u64::MAX,
+                    }
+                } else {
+                    u64::MAX
+                };
+                // Window width in ticks: no claimed node finishes before
+                // `min_q - 1`, and every other cap is ≥ 1 (after the idle
+                // skip the next arrival is strictly in the future, after
+                // step 2 every zero-tail job is strictly before its expiry
+                // boundary, and the run guard keeps t < horizon).
+                if self.kernel_on {
+                    (min_q - 1).min(self.kernel.window(t))
                 } else {
                     HorizonScan::window(min_q, jobs, &self.life, &self.clock, t)
                 }
-                .min(bound_cap);
-                if s > 0 {
-                    // No claimed node completes within the window: each
-                    // consumes its processor's full rate per tick
-                    // (remaining > s·units of that processor), exactly as
-                    // `s` reference ticks would, and no carryover,
-                    // completion or hook can fire.
-                    let mut total = 0u64;
-                    for &(id, node, pu) in &sc.claimed {
-                        let l = self.life.live[id.index()]
-                            .as_mut()
-                            .expect("claimed implies live");
-                        l.state.advance_bulk(node, s * pu);
-                        total += s * pu;
-                    }
-                    self.platform.record_units(total);
-                    if self.observing {
-                        // `claimed` lists each alloc entry's nodes
-                        // contiguously, in alloc order: walk it once to sum
-                        // each job's per-tick rate over its claimed nodes.
-                        sc.progress.clear();
-                        let mut rest = sc.claimed.as_slice();
-                        for &(id, _) in &sc.alloc {
-                            let cnt = rest.iter().take_while(|&&(j, _, _)| j == id).count();
-                            let rate: u64 = rest[..cnt].iter().map(|&(_, _, pu)| pu).sum();
-                            rest = &rest[cnt..];
-                            sc.progress.push((id, s * rate));
-                        }
-                        let vj: &[(JobId, u32)] = if self.delta_on {
-                            self.life.view()
-                        } else {
-                            &sc.view_jobs
-                        };
-                        self.obs.on_window(t, s, vj, &sc.alloc, &sc.progress);
-                    }
+                .min(bound_cap)
+            } else {
+                0
+            };
+            if s > 0 {
+                // No claimed node completes within the window: each
+                // consumes its processor's full rate per tick (remaining >
+                // s·units of that processor), exactly as `s` reference
+                // ticks would, and no carryover, completion or hook can
+                // fire.
+                let mut total = 0u64;
+                for &(id, node, pu) in &sc.claimed {
+                    let l = self.life.live[id.index()]
+                        .as_mut()
+                        .expect("claimed implies live");
+                    l.state.advance_bulk(node, s * pu);
+                    total += s * pu;
+                }
+                self.platform.record_units(total);
+                if self.observing {
+                    // `claimed` lists each alloc entry's nodes
+                    // contiguously, in alloc order: walk it once to sum
+                    // each job's per-tick rate over its claimed nodes.
+                    sc.progress.clear();
+                    let mut rest = sc.claimed.as_slice();
                     for &(id, _) in &sc.alloc {
-                        self.life.live[id.index()]
-                            .as_mut()
-                            .expect("validated alive")
-                            .release_claims();
+                        let cnt = rest.iter().take_while(|&&(j, _, _)| j == id).count();
+                        let rate: u64 = rest[..cnt].iter().map(|&(_, _, pu)| pu).sum();
+                        rest = &rest[cnt..];
+                        sc.progress.push((id, s * rate));
                     }
-                    self.clock.advance_window(s);
-                    return Ok(true);
+                    let vj: &[(JobId, u32)] = if self.delta_on {
+                        self.life.view()
+                    } else {
+                        &sc.view_jobs
+                    };
+                    self.obs.on_window(t, s, vj, &sc.alloc, &sc.progress);
                 }
-            } else if self.bounded && sc.alloc.is_empty() && !self.life.alive.is_empty() {
-                // Bounded schedulers idle *deliberately*: an empty
-                // allocation with alive jobs is a plan gap (no slot at this
-                // tick), and within `bound_cap` the per-tick re-decision
-                // cannot change it. Skip the whole gap in one window — the
-                // reference path would emit `s` identical empty-allocation
-                // ticks, which the event log coalesces into exactly this
-                // window, and `advance_window` charges the same
-                // `ticks_simulated`. Restricted to bounded schedulers so
-                // fully stable schedulers keep their frozen per-tick idle
-                // accounting. When the last alive job left during this
-                // step's own event phases the window has no job boundary
-                // left to cap it — fall through to the single reference
-                // tick the naive path charges before its run guard ends
-                // the run.
-                let s = if self.kernel_windows {
-                    self.kernel.window(t, &self.life)
-                } else {
-                    HorizonScan::window(u64::MAX, jobs, &self.life, &self.clock, t)
+                for &(id, _) in &sc.alloc {
+                    self.life.live[id.index()]
+                        .as_mut()
+                        .expect("validated alive")
+                        .release_claims();
                 }
-                .min(bound_cap);
-                if s > 0 {
-                    if self.observing {
-                        sc.progress.clear();
-                        let vj: &[(JobId, u32)] = if self.delta_on {
-                            self.life.view()
-                        } else {
-                            &sc.view_jobs
-                        };
-                        self.obs.on_window(t, s, vj, &sc.alloc, &sc.progress);
-                    }
-                    self.clock.advance_window(s);
-                    return Ok(true);
-                }
+                self.clock.advance_window(s);
+                return Ok(true);
             }
             // A completion is due this tick (or nothing was claimed):
             // release the claim marks and run the tick on the reference

@@ -250,22 +250,14 @@ pub trait OnlineScheduler {
         false
     }
 
-    /// Declare that this scheduler's *completion keys* are stable between
-    /// events, unlocking the engine's heap-based window computation
-    /// ([`EventKernel`](crate::events::EventKernel)).
-    ///
-    /// Returning `true` strengthens
-    /// [`allocation_stable_between_events`](Self::allocation_stable_between_events):
-    /// the kernel re-keys a claimed node's completion entry only when the
-    /// node's allocation width (and with it its completion frontier)
-    /// actually changes, rather than re-deriving every claimed node's
-    /// distance each step. That is sound exactly when the inter-event
-    /// allocation is stable, so the default forwards to
-    /// `allocation_stable_between_events` and virtually no implementation
-    /// needs to override it. Override only to return `false` while staying
-    /// allocation-stable — a scheduler that wants scan-based windows (the
-    /// [`HorizonScan`](crate::reference::HorizonScan) twin) without giving
-    /// up the fast-forward path itself.
+    /// Inert: the engine does not read this capability. Fast-forward
+    /// windows take the completion bound from a per-step fold over the
+    /// claimed nodes, which needs nothing beyond
+    /// [`allocation_stable_between_events`](Self::allocation_stable_between_events)
+    /// or [`bounded_stability`](Self::bounded_stability). The method and its
+    /// default stay so forwarding wrappers keep compiling until the
+    /// stability capabilities collapse into one query (ROADMAP.md, "Retire
+    /// the frozen twins"). Do not override it.
     fn completion_keys_stable(&self) -> bool {
         self.allocation_stable_between_events()
     }

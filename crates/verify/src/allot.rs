@@ -69,6 +69,13 @@ impl AllotmentChecker {
     }
 }
 
+/// Lemma 1's bound `b²m + 1`, with `b² = (1+2δ)/(1+ε)` taken directly:
+/// re-squaring the stored `b = √((1+2δ)/(1+ε))` can land 1 ulp low and
+/// flag an allotment sitting exactly on the bound.
+fn lemma1_bound(params: &AlgoParams, m: u32) -> f64 {
+    (1.0 + 2.0 * params.delta()) / (1.0 + params.epsilon()) * m as f64 + 1.0
+}
+
 impl SimObserver for AllotmentChecker {
     fn on_start(&mut self, m: u32, _speed: Speed, _horizon: Time) {
         self.m = m;
@@ -91,7 +98,7 @@ impl SimObserver for AllotmentChecker {
         // Lemma 1 (with integrality slack): an admitted job's allotment is
         // at most b²m + 1.
         if let Some(jm) = self.models.get(&event.job) {
-            let bound = self.params.b().powi(2) * self.m as f64 + 1.0;
+            let bound = lemma1_bound(&self.params, self.m);
             if jm.allot as f64 > bound {
                 self.rec.flag(
                     now,
@@ -153,5 +160,53 @@ impl SimObserver for AllotmentChecker {
     fn on_job_expired(&mut self, _at: Time, job: JobId) {
         self.started.retain(|&j| j != job);
         self.models.remove(&job);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A lenient ε = 1, m = 64 checker (b² = 0.75, so b²m + 1 = 49) that
+    /// has seen one job whose model carries allotment `allot`, admitted.
+    fn admit_with_allotment(allot: u32) -> AllotmentChecker {
+        let params = AlgoParams::from_epsilon(1.0).expect("valid epsilon");
+        let mut c = AllotmentChecker::new(params).lenient();
+        c.on_start(64, Speed::ONE, Time(1_000));
+        c.models.insert(
+            JobId(0),
+            JobModel {
+                allot,
+                x: 1.0,
+                density: 1.0,
+                profit: 1,
+                arrival: Time(0),
+                rel_deadline: 10.0,
+                abs_deadline: Time(10),
+                admissible: true,
+                delta_good: true,
+            },
+        );
+        c.on_admission(
+            Time(0),
+            AdmissionEvent {
+                job: JobId(0),
+                decision: AdmissionDecision::Admitted,
+            },
+        );
+        c
+    }
+
+    #[test]
+    fn lemma1_bound_is_exact_at_the_boundary() {
+        // Re-squaring the stored square root lands below 49 — the false
+        // positive an allotment of exactly 49 used to trip.
+        let p = AlgoParams::from_epsilon(1.0).expect("valid epsilon");
+        assert!(p.b().powi(2) * 64.0 + 1.0 < 49.0);
+        assert_eq!(lemma1_bound(&p, 64), 49.0);
+        assert!(admit_with_allotment(49).violations().is_empty());
+        let over = admit_with_allotment(50);
+        assert_eq!(over.violations().len(), 1);
+        assert!(over.violations()[0].to_string().contains("Lemma 1"));
     }
 }

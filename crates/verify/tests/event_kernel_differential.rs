@@ -429,3 +429,168 @@ mod paused_at_ties {
         );
     }
 }
+
+/// Fast-forward windows take the completion bound from the claim pass's
+/// per-step fold, not from heap entries. These cases pin the regimes the
+/// old per-node completion entries needed special rules for, three ways:
+/// the default kernel run must match the naive path (outcome and JSONL)
+/// and the scan twin (outcome, `steps_executed` and JSONL).
+mod fold_windows {
+    use super::*;
+    use dagsched_core::MachineGroups;
+    use dagsched_engine::JobStatus;
+    use dagsched_sched::{RandomOrder, SchedulerSProfit};
+    use dagsched_workload::ProfitShape;
+
+    /// Kernel vs naive and kernel vs scan, all under `cfg`'s platform.
+    fn check_three_way(
+        inst: &Instance,
+        mk: &dyn Fn() -> Box<dyn OnlineScheduler>,
+        cfg: &SimConfig,
+        label: &str,
+    ) -> SimResult {
+        let kernel = run_mode(inst, mk, cfg, WindowMode::EventKernel);
+        let scan = run_mode(inst, mk, cfg, WindowMode::ReferenceScan);
+        let naive_cfg = SimConfig {
+            fast_forward: false,
+            ..cfg.clone()
+        };
+        let naive = run_mode(inst, mk, &naive_cfg, WindowMode::EventKernel);
+        assert!(
+            kernel.0.same_outcome(&naive.0),
+            "{label}: fast-forward outcome diverges from naive"
+        );
+        assert_eq!(kernel.1, naive.1, "{label}: JSONL diverges from naive");
+        let result = kernel.0.clone();
+        assert_matches(label, kernel, &scan);
+        result
+    }
+
+    fn related(shape: &str) -> SimConfig {
+        SimConfig {
+            groups: Some(shape.parse::<MachineGroups>().expect("valid shape")),
+            ..SimConfig::default()
+        }
+    }
+
+    /// On a `1x1,1x2` platform under EDF, job 0's 20-unit node runs on the
+    /// slow processor over [0, 4) (completion frontier 0 + 20 − 1 = 19),
+    /// loses its claim to two more urgent jobs over [4, 12), and is
+    /// re-claimed at t = 12 onto the fast processor with 16 units left —
+    /// frontier 12 + 8 − 1 = 19 again. A heap-kept completion entry for
+    /// the node had to survive (or be re-pushed across) that claim gap at
+    /// an unchanged key; the fold has no entry to lose and sees q = 8.
+    #[test]
+    fn reclaim_onto_a_faster_group_at_an_unchanged_frontier() {
+        use dagsched_dag::gen;
+        let jobs = vec![
+            JobSpec::new(
+                JobId(0),
+                Time(0),
+                gen::single(20).into_shared(),
+                StepProfitFn::deadline(Time(100), 1),
+            ),
+            JobSpec::new(
+                JobId(1),
+                Time(0),
+                gen::single(24).into_shared(),
+                StepProfitFn::deadline(Time(30), 1),
+            ),
+            JobSpec::new(
+                JobId(2),
+                Time(4),
+                gen::single(8).into_shared(),
+                StepProfitFn::deadline(Time(40), 1),
+            ),
+        ];
+        let inst = Instance::new(2, jobs).expect("valid instance");
+        let r = check_three_way(
+            &inst,
+            &|| Box::new(Edf::new(2)) as _,
+            &related("1x1,1x2"),
+            "faster-group reclaim",
+        );
+        // Both urgent jobs finish at 12; job 0 then finishes its last 16
+        // units on the fast processor by 20 — on the slow one it would
+        // take until 28.
+        let done: Vec<Time> = r
+            .outcomes
+            .iter()
+            .map(|o| match *o {
+                JobStatus::Completed { at, .. } => at,
+                ref other => panic!("every job completes, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(done, vec![Time(20), Time(12), Time(12)]);
+    }
+
+    /// The same re-claim under a scheduler whose allocation reshuffles
+    /// *between* events: `RandomOrder` re-rolls its order every tick on a
+    /// `2x1,1x2` platform, so a node can lose its claim while every other
+    /// claimed frontier lies beyond its own, and come back on the fast
+    /// processor at an unchanged frontier. A heap that discarded the
+    /// node's entry as stale during the gap and did not re-push it widened
+    /// the next window past the node's completion; the fold cannot.
+    #[test]
+    fn random_order_reclaim_onto_a_faster_group() {
+        let inst = dagsched_workload::codec::decode(
+            "dagsched-instance v1\nm 3\njobs 4\n\
+             job 0\narrival 1\nprofit 1 0\nseg 47 6\nnodes 2\nwork 23 23\nedges 1\nedge 0 1\nend\n\
+             job 1\narrival 2\nprofit 1 0\nseg 27 3\nnodes 2\nwork 15 15\nedges 1\nedge 0 1\nend\n\
+             job 2\narrival 2\nprofit 1 0\nseg 7 9\nnodes 2\nwork 7 7\nedges 1\nedge 0 1\nend\n\
+             job 3\narrival 3\nprofit 1 0\nseg 31 9\nnodes 1\nwork 17\nedges 0\nend\n",
+        )
+        .expect("valid instance");
+        check_three_way(
+            &inst,
+            &|| Box::new(RandomOrder::new(3, 60)) as _,
+            &related("2x1,1x2"),
+            "random-order faster-group reclaim",
+        );
+    }
+
+    /// `RandomOrder` (single-tick bounded windows) and `SchedulerSProfit`
+    /// (slot-plan bounded windows) on uniform and related platforms, over
+    /// deadline and stepped-decay profit workloads.
+    #[test]
+    fn bounded_schedulers_take_fold_windows() {
+        type Mk = Box<dyn Fn(u32) -> Box<dyn OnlineScheduler>>;
+        let scheds: Vec<(&str, Mk)> = vec![
+            (
+                "random-order",
+                Box::new(|m| Box::new(RandomOrder::new(m, 0xD1CE)) as _),
+            ),
+            (
+                "S-profit",
+                Box::new(|m| Box::new(SchedulerSProfit::with_epsilon(m, 1.0)) as _),
+            ),
+        ];
+        for seed in [3u64, 41, 977] {
+            for shape in [
+                ProfitShape::Deadline,
+                ProfitShape::SteppedDecay {
+                    extra_steps: 3,
+                    time_factor: 1.6,
+                    value_factor: 0.4,
+                },
+            ] {
+                let inst = WorkloadGen {
+                    shape,
+                    ..WorkloadGen::standard(4, 30, seed)
+                }
+                .generate()
+                .expect("valid workload");
+                for platform in [SimConfig::default(), related("2x1,2x2")] {
+                    for (name, mk) in &scheds {
+                        check_three_way(
+                            &inst,
+                            &|| mk(4),
+                            &platform,
+                            &format!("{name} seed {seed} {shape:?} groups {:?}", platform.groups),
+                        );
+                    }
+                }
+            }
+        }
+    }
+}

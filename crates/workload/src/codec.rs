@@ -114,6 +114,13 @@ fn parse<T: std::str::FromStr>(tok: &str, lines: &Lines<'_>, what: &str) -> Resu
         .map_err(|_| lines.err(format!("cannot parse {what} from {tok:?}")))
 }
 
+/// Lower bounds on the encoded size of one job record (its `job`,
+/// `arrival`, `profit`, `nodes`, `work`, `edges` and `end` lines) and of one
+/// `seg` line. Declared counts are untrusted: buffers are sized by what the
+/// input could actually hold, never by what its header claims.
+const MIN_JOB_BYTES: usize = 40;
+const MIN_SEG_BYTES: usize = 7;
+
 /// Parse the v1 text format.
 pub fn decode(text: &str) -> Result<Instance> {
     let mut lines = Lines::new(text);
@@ -123,7 +130,7 @@ pub fn decode(text: &str) -> Result<Instance> {
     }
     let m: u32 = parse(lines.expect("m", 1)?[0], &lines, "machine count")?;
     let n_jobs: usize = parse(lines.expect("jobs", 1)?[0], &lines, "job count")?;
-    let mut jobs = Vec::with_capacity(n_jobs);
+    let mut jobs = Vec::with_capacity(n_jobs.min(text.len() / MIN_JOB_BYTES));
     for expect_id in 0..n_jobs {
         let id: u32 = parse(lines.expect("job", 1)?[0], &lines, "job id")?;
         if id as usize != expect_id {
@@ -133,7 +140,7 @@ pub fn decode(text: &str) -> Result<Instance> {
         let p = lines.expect("profit", 2)?;
         let n_segs: usize = parse(p[0], &lines, "segment count")?;
         let tail: u64 = parse(p[1], &lines, "tail value")?;
-        let mut segs = Vec::with_capacity(n_segs);
+        let mut segs = Vec::with_capacity(n_segs.min(text.len() / MIN_SEG_BYTES));
         for _ in 0..n_segs {
             let s = lines.expect("seg", 2)?;
             segs.push((
@@ -262,6 +269,32 @@ end
             (ok.replace("\nend\n", "\n"), "missing end"),
         ] {
             assert!(decode(&broken).is_err(), "should reject: {why}");
+        }
+    }
+
+    #[test]
+    fn decode_rejects_oversized_declared_counts_without_allocating_them() {
+        // ~150 bytes claiming four billion jobs (or segments): the decoder
+        // must run out of input and fail, not reserve what the header claims.
+        let ok = "\
+dagsched-instance v1
+m 2
+jobs 1
+job 0
+arrival 0
+profit 1 0
+seg 10 5
+nodes 1
+work 3
+edges 0
+end
+";
+        for broken in [
+            ok.replace("jobs 1", "jobs 4000000000"),
+            ok.replace("profit 1 0", "profit 4000000000 0"),
+        ] {
+            assert!(broken.len() < 160);
+            assert!(decode(&broken).is_err());
         }
     }
 
