@@ -82,7 +82,7 @@
 //! floor when the machine actually has ≥ 4 cores.
 //!
 //! A final group measures **fuzz-loop throughput**: a bounded
-//! coverage-guided run of `dagsched fuzz` (fixed master seed, all five
+//! coverage-guided run of `dagsched fuzz` (fixed master seed, all four
 //! oracle heads) timed end to end, reported as `fuzz_execs_per_sec`. Like
 //! the sweep ratio it is *hardware-dependent* — recorded for
 //! trend-watching, never gated against a baseline from a different box.
@@ -1067,7 +1067,7 @@ pub fn run_sweep_grid(grid: &SweepGrid, threads: usize, iters: usize) -> Vec<Swe
 }
 
 /// Run the fuzz-throughput group: one bounded coverage-guided loop per
-/// exec budget, fixed master seed, all five oracle heads, minimization
+/// exec budget, fixed master seed, all four oracle heads, minimization
 /// off (a clean scheduler never reaches the minimizer anyway — keeping it
 /// off makes the timed work identical even if a future regression trips an
 /// oracle). The loop must find failures *never*: a failure here is a

@@ -120,8 +120,7 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
     ///
     /// # Panics
     /// When the platform configuration is inconsistent with the instance
-    /// (group total ≠ `m`, or the scalar twin paired with a heterogeneous
-    /// platform). [`simulate`](crate::simulate) and
+    /// (group total ≠ `m`). [`simulate`](crate::simulate) and
     /// [`simulate_observed`](crate::simulate_observed) pre-validate via
     /// [`SimConfig::resolve_groups`] and surface this as an error instead.
     pub fn with_observer(
@@ -260,10 +259,6 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
             }
         }
         let t = self.clock.now();
-        // `Some(units)` on a uniform platform — the scalar twin's (and the
-        // common case's) single hoisted rate. Heterogeneous platforms walk
-        // the per-processor rates with a placement cursor instead.
-        let uniform_units = self.platform.uniform_units();
 
         // 1. Arrivals.
         let first_arrival = self.life.next_arrival;
@@ -376,23 +371,20 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
             // keeps its frozen per-step cost — the full claim pass and the
             // rescan run even then.
             let mut min_q = u64::MAX;
-            let mut cursor = 0usize;
+            let mut procs = self.platform.procs();
             'claim: for &(id, k) in &sc.alloc {
                 let l = self.life.live[id.index()]
                     .as_mut()
                     .expect("validated alive");
                 self.picker
                     .pick_into(&l.state, &l.busy, k as usize, &mut sc.picked);
-                for (i, &node) in sc.picked.iter().enumerate() {
+                for &node in &sc.picked {
                     l.busy[node.index()] = true;
                     l.dirty.push(node.0);
                     // The i-th picked node binds to the i-th processor the
                     // entry consumes — the same pairing the reference
                     // path's per-processor loop realizes.
-                    let pu = match uniform_units {
-                        Some(u) => u,
-                        None => self.platform.proc_units()[cursor + i],
-                    };
+                    let pu = procs.next_units();
                     let q = ticks_to_complete(l.state.node_remaining(node).units(), pu);
                     min_q = min_q.min(q);
                     if min_q <= 1 && self.kernel_on {
@@ -400,7 +392,8 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
                     }
                     sc.claimed.push((id, node, pu));
                 }
-                cursor += k as usize;
+                // Processors the entry was granted beyond its ready nodes.
+                procs.skip(k - sc.picked.len() as u32);
             }
             // The window engages when nodes were claimed, or when a bounded
             // scheduler idles *deliberately*: an empty allocation with alive
@@ -512,7 +505,8 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
             sc.progress.clear();
             sc.node_done.clear();
         }
-        let mut cursor = 0usize;
+        let mut procs = self.platform.procs();
+        let mut tick_units = 0u64;
         for &(id, k) in &sc.alloc {
             let l = self.life.live[id.index()]
                 .as_mut()
@@ -523,11 +517,8 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
             // any other processor has already spent this tick's time.
             // They are marked busy globally and kept in a per-processor
             // continuation list.
-            for j in 0..k {
-                let mut budget = match uniform_units {
-                    Some(u) => u,
-                    None => self.platform.proc_units()[cursor + j as usize],
-                };
+            for _ in 0..k {
+                let mut budget = procs.next_units();
                 sc.continuations.clear();
                 while budget > 0 {
                     let node = match sc.continuations.pop() {
@@ -545,7 +536,6 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
                         }
                     };
                     let (consumed, node_finished) = l.state.advance(node, budget);
-                    self.platform.record_units(consumed);
                     entry_units += consumed;
                     budget -= consumed;
                     if !node_finished {
@@ -574,14 +564,15 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
                 }
             }
             l.release_claims();
+            tick_units += entry_units;
             if self.observing {
                 sc.progress.push((id, entry_units));
             }
             if l.state.is_complete() {
                 sc.completions.push(id);
             }
-            cursor += k as usize;
         }
+        self.platform.record_units(tick_units);
         if self.observing {
             let vj: &[(JobId, u32)] = if self.delta_on {
                 self.life.view()

@@ -54,5 +54,5 @@ pub use reference::{HorizonScan, ViewRebuild};
 pub use result::{JobStatus, SimResult};
 pub use runner::parallel_map;
 pub use sched_api::{Allocation, JobInfo, OnlineScheduler, TickView, ViewDelta};
-pub use sim::{simulate, simulate_observed, HandoffMode, PlatformMode, SimConfig};
+pub use sim::{simulate, simulate_observed, HandoffMode, SimConfig};
 pub use trace::{Trace, TraceStats};

@@ -11,18 +11,79 @@
 //! ## Placement order
 //!
 //! Allocation entries name *counts*, not processors; the platform fixes
-//! which concrete processors an entry consumes by materializing a placement
-//! order at construction: `proc_units[p]` / `proc_group[p]` describe the
-//! `p`-th processor handed out. Entries consume processors sequentially
-//! (a cursor walks the order), so the `i`-th node picked for an entry binds
-//! to processor `cursor + i`. Group-aware schedulers get fastest-first
-//! order (descending units, ascending group index on ties); aggregate-blind
-//! schedulers get declaration order — on a uniform platform the two orders
-//! coincide, which is what keeps uniform runs byte-identical regardless of
-//! awareness.
+//! which concrete processors an entry consumes by a placement order, stored
+//! as one *run* per group — `count` consecutive processors of `group`, each
+//! at `units` per tick — so the platform's size is O(groups), never O(m).
+//! Entries consume processors sequentially (a forward-only cursor walks the
+//! runs), so the `i`-th node picked for an entry binds to processor
+//! `cursor + i`. Group-aware schedulers get
+//! fastest-first order (descending units, ascending group index on ties);
+//! aggregate-blind schedulers get declaration order — on a uniform platform
+//! both are the single run `(m, units, 0)`, which is what keeps uniform
+//! runs byte-identical regardless of awareness.
 
 use crate::sched_api::Allocation;
 use dagsched_core::{JobId, MachineGroups, Result, SchedError, Speed, Time};
+
+/// One run of the placement order: `count` consecutive processors of group
+/// `group`, each completing `units` scaled work units per tick.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct PlacementRun {
+    /// Processors in the run (positive).
+    count: u32,
+    /// Scaled work units each processor of the run completes per tick.
+    units: u64,
+    /// Owning group index.
+    group: u32,
+}
+
+/// A forward-only walk over the placement order, one processor at a time.
+/// One cursor serves one step's allocation: the entries' counts sum to at
+/// most `m` (validation guarantees it), so the walk never runs off the end.
+pub(crate) struct ProcCursor<'p> {
+    /// The current run first; exhausted runs are sliced off the front.
+    runs: &'p [PlacementRun],
+    /// Processors not yet handed out in `runs[0]`.
+    left: u32,
+    /// `runs[0].units`, cached for the per-processor hot path.
+    units: u64,
+}
+
+impl<'p> ProcCursor<'p> {
+    fn new(runs: &'p [PlacementRun]) -> ProcCursor<'p> {
+        ProcCursor {
+            runs,
+            left: runs[0].count,
+            units: runs[0].units,
+        }
+    }
+
+    /// Move to the next run (at most once per group per step).
+    #[cold]
+    fn next_run(&mut self) {
+        *self = ProcCursor::new(&self.runs[1..]);
+    }
+
+    /// The per-tick rate of the next processor in placement order.
+    #[inline]
+    pub(crate) fn next_units(&mut self) -> u64 {
+        if self.left == 0 {
+            self.next_run();
+        }
+        self.left -= 1;
+        self.units
+    }
+
+    /// Pass over the next `n` processors without binding them.
+    #[inline]
+    pub(crate) fn skip(&mut self, mut n: u32) {
+        while n > self.left {
+            n -= self.left;
+            self.next_run();
+        }
+        self.left -= n;
+    }
+}
 
 /// The simulated machine: size, speed groups, and capacity accounting. See
 /// the [module docs](self).
@@ -32,12 +93,8 @@ pub struct Platform {
     speed: Speed,
     groups: MachineGroups,
     scale: u64,
-    /// Per-processor scaled units per tick, in placement order.
-    proc_units: Vec<u64>,
-    /// Owning group index of each processor, aligned with `proc_units`.
-    proc_group: Vec<u32>,
-    /// `Some(units)` iff every processor runs at the same speed.
-    uniform_units: Option<u64>,
+    /// The placement order, one run per group.
+    runs: Vec<PlacementRun>,
     units_processed: u64,
     /// Validation scratch, dense by job index; entries are set and cleared
     /// within one [`validate`](Platform::validate) call, keeping validation
@@ -63,26 +120,19 @@ impl Platform {
     pub(crate) fn with_groups(groups: MachineGroups, fastest_first: bool, n: usize) -> Platform {
         let m = groups.total();
         let scale = groups.work_scale();
-        let mut order: Vec<u32> = (0..groups.len() as u32).collect();
+        let mut runs: Vec<PlacementRun> = groups
+            .groups()
+            .iter()
+            .enumerate()
+            .map(|(g, grp)| PlacementRun {
+                count: grp.count,
+                units: groups.units(g),
+                group: g as u32,
+            })
+            .collect();
         if fastest_first {
-            order.sort_by(|&a, &b| {
-                groups
-                    .units(b as usize)
-                    .cmp(&groups.units(a as usize))
-                    .then(a.cmp(&b))
-            });
+            runs.sort_by(|a, b| b.units.cmp(&a.units).then(a.group.cmp(&b.group)));
         }
-        let mut proc_units = Vec::with_capacity(m as usize);
-        let mut proc_group = Vec::with_capacity(m as usize);
-        for &g in &order {
-            let grp = &groups.groups()[g as usize];
-            let u = groups.units(g as usize);
-            for _ in 0..grp.count {
-                proc_units.push(u);
-                proc_group.push(g);
-            }
-        }
-        let uniform_units = groups.uniform_speed().map(|_| groups.units(0));
         // Reporting speed: the uniform speed, or the fastest group's speed
         // on a heterogeneous platform (what `on_start` serializes).
         let speed = groups.uniform_speed().unwrap_or_else(|| {
@@ -101,9 +151,7 @@ impl Platform {
             speed,
             groups,
             scale,
-            proc_units,
-            proc_group,
-            uniform_units,
+            runs,
             units_processed: 0,
             granted: vec![false; n],
         }
@@ -135,31 +183,10 @@ impl Platform {
         self.scale
     }
 
-    /// Scaled work units one processor completes per tick — the uniform
-    /// value, or the fastest processor's on a heterogeneous platform.
+    /// A cursor at the first processor of the placement order.
     #[inline]
-    pub fn units_per_tick(&self) -> u64 {
-        self.uniform_units
-            .unwrap_or_else(|| *self.proc_units.iter().max().expect("m >= 1"))
-    }
-
-    /// `Some(units)` iff every processor runs at the same speed — the
-    /// scalar-twin fast path.
-    #[inline]
-    pub fn uniform_units(&self) -> Option<u64> {
-        self.uniform_units
-    }
-
-    /// Per-processor scaled units per tick, in placement order.
-    #[inline]
-    pub fn proc_units(&self) -> &[u64] {
-        &self.proc_units
-    }
-
-    /// Owning group index per processor, in placement order.
-    #[inline]
-    pub fn proc_group(&self) -> &[u32] {
-        &self.proc_group
+    pub(crate) fn procs(&self) -> ProcCursor<'_> {
+        ProcCursor::new(&self.runs)
     }
 
     /// Scaled work units consumed so far.
@@ -204,7 +231,7 @@ impl Platform {
             self.granted[id.index()] = true;
             used += k as u64;
             if used > self.m as u64 {
-                let g = self.proc_group[self.m as usize - 1];
+                let g = self.runs.last().expect("m >= 1").group;
                 bad = Some(format!(
                     "tick {t}: {used} processors allocated but m = {} \
                      (exhausted at group {g} of {})",
@@ -233,15 +260,20 @@ mod tests {
         Platform::new(2, Speed::new(3, 2).unwrap(), 4)
     }
 
+    fn run(count: u32, units: u64, group: u32) -> PlacementRun {
+        PlacementRun {
+            count,
+            units,
+            group,
+        }
+    }
+
     #[test]
     fn speed_arithmetic_is_exposed_exactly() {
         let p = platform();
         assert_eq!(p.m(), 2);
         assert_eq!(p.work_scale(), 2);
-        assert_eq!(p.units_per_tick(), 3);
-        assert_eq!(p.uniform_units(), Some(3));
-        assert_eq!(p.proc_units(), &[3, 3]);
-        assert_eq!(p.proc_group(), &[0, 0]);
+        assert_eq!(p.runs, [run(2, 3, 0)]);
     }
 
     #[test]
@@ -275,13 +307,13 @@ mod tests {
         let blind = Platform::with_groups(groups.clone(), false, 1);
         assert_eq!(blind.m(), 3);
         assert_eq!(blind.work_scale(), 1);
-        assert_eq!(blind.uniform_units(), None);
-        assert_eq!(blind.proc_units(), &[1, 1, 2], "declaration order");
-        assert_eq!(blind.proc_group(), &[0, 0, 1]);
+        assert_eq!(
+            blind.runs,
+            [run(2, 1, 0), run(1, 2, 1)],
+            "declaration order"
+        );
         let aware = Platform::with_groups(groups, true, 1);
-        assert_eq!(aware.proc_units(), &[2, 1, 1], "fastest first");
-        assert_eq!(aware.proc_group(), &[1, 0, 0]);
-        assert_eq!(aware.units_per_tick(), 2, "fastest processor's units");
+        assert_eq!(aware.runs, [run(1, 2, 1), run(2, 1, 0)], "fastest first");
         assert_eq!(aware.speed(), Speed::new(2, 1).unwrap());
     }
 
@@ -290,7 +322,8 @@ mod tests {
         // Equal speeds in different groups: placement keeps group order.
         let groups: MachineGroups = "1x2,1x2,1x1".parse().unwrap();
         let p = Platform::with_groups(groups, true, 1);
-        assert_eq!(p.proc_group(), &[0, 1, 2]);
+        let order: Vec<u32> = p.runs.iter().map(|r| r.group).collect();
+        assert_eq!(order, [0, 1, 2]);
     }
 
     #[test]
@@ -299,7 +332,33 @@ mod tests {
         let p = Platform::with_groups(groups, false, 1);
         assert_eq!(p.work_scale(), 6);
         // 3/2 → 9 units at scale 6; 5/3 → 10 units.
-        assert_eq!(p.proc_units(), &[9, 10]);
+        assert_eq!(p.runs, [run(1, 9, 0), run(1, 10, 1)]);
         assert_eq!(p.speed(), Speed::new(5, 3).unwrap(), "fastest group");
+    }
+
+    #[test]
+    fn cursor_walks_processors_across_run_boundaries() {
+        let groups: MachineGroups = "2x1,1x2,3x3".parse().unwrap();
+        let p = Platform::with_groups(groups, false, 1);
+        let mut c = p.procs();
+        assert_eq!(c.next_units(), 1);
+        c.skip(0);
+        assert_eq!(c.next_units(), 1);
+        assert_eq!(c.next_units(), 2, "crosses into the second run");
+        c.skip(2);
+        assert_eq!(c.next_units(), 3, "skip spans into the last run");
+        let mut c = p.procs();
+        c.skip(3);
+        assert_eq!(c.next_units(), 3, "skip ending on a run boundary");
+    }
+
+    #[test]
+    fn platform_size_is_independent_of_the_processor_count() {
+        let p = Platform::new(4_000_000_000, Speed::ONE, 1);
+        assert_eq!(p.m(), 4_000_000_000);
+        assert_eq!(p.runs, [run(4_000_000_000, 1, 0)]);
+        let mut c = p.procs();
+        c.skip(3_999_999_999);
+        assert_eq!(c.next_units(), 1, "the last processor is reachable");
     }
 }

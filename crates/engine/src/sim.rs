@@ -56,23 +56,6 @@ pub enum HandoffMode {
     Rebuild,
 }
 
-/// Which platform arithmetic drives per-tick progress. Both modes are
-/// byte-identical on uniform platforms by contract — the
-/// `scalar_twin_differential` suite in `crates/verify` holds them so.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PlatformMode {
-    /// Machine-group arithmetic (default): per-processor unit rates from
-    /// the platform's [`MachineGroups`], walked by a placement cursor. The
-    /// only mode that supports heterogeneous platforms.
-    #[default]
-    Grouped,
-    /// The frozen pre-group scalar-speed twin: one hoisted `units` rate for
-    /// every processor, byte-for-byte the arithmetic the engine shipped
-    /// with through PR 8. Requires a uniform platform; kept for
-    /// differential testing and the perf harness.
-    Scalar,
-}
-
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
@@ -85,10 +68,6 @@ pub struct SimConfig {
     /// [`speed`](SimConfig::speed). When set, the total processor count
     /// must equal the instance's `m`.
     pub groups: Option<MachineGroups>,
-    /// Platform arithmetic: the grouped path (default) or the frozen
-    /// [`PlatformMode::Scalar`] twin (uniform platforms only), kept for
-    /// differential testing and the perf harness.
-    pub platform: PlatformMode,
     /// How ready nodes are chosen when a job gets processors.
     pub pick: NodePick,
     /// Whether a processor finishing a node mid-tick may continue on another
@@ -124,7 +103,6 @@ impl Default for SimConfig {
         SimConfig {
             speed: Speed::ONE,
             groups: None,
-            platform: PlatformMode::Grouped,
             pick: NodePick::Fifo,
             carryover: true,
             horizon: None,
@@ -158,28 +136,17 @@ impl SimConfig {
     ///
     /// # Errors
     /// [`SchedError::InvalidInstance`] when the group total disagrees with
-    /// `m`, or when [`PlatformMode::Scalar`] is paired with a heterogeneous
-    /// platform (the scalar twin has no per-group arithmetic).
+    /// `m`.
     pub fn resolve_groups(&self, m: u32) -> Result<MachineGroups> {
-        let groups = match &self.groups {
-            Some(g) => {
-                if g.total() != m {
-                    return Err(SchedError::InvalidInstance(format!(
-                        "platform {} has {} processors but the instance has m = {m}",
-                        g,
-                        g.total()
-                    )));
-                }
-                g.clone()
-            }
-            None => MachineGroups::uniform(m, self.speed)?,
-        };
-        if self.platform == PlatformMode::Scalar && !groups.is_uniform() {
-            return Err(SchedError::InvalidInstance(format!(
-                "the scalar platform twin requires a uniform platform, got {groups}"
-            )));
+        match &self.groups {
+            Some(g) if g.total() != m => Err(SchedError::InvalidInstance(format!(
+                "platform {} has {} processors but the instance has m = {m}",
+                g,
+                g.total()
+            ))),
+            Some(g) => Ok(g.clone()),
+            None => MachineGroups::uniform(m, self.speed),
         }
-        Ok(groups)
     }
 }
 
@@ -722,6 +689,23 @@ mod tests {
                     assert_eq!(r.outcomes[id.index()], JobStatus::Completed { at, profit });
                 }
             }
+        }
+    }
+
+    /// The engine reads `speed` and `groups` only through `resolve_groups`,
+    /// so a scalar speed and the explicit single uniform group at that
+    /// speed are the same platform.
+    #[test]
+    fn scalar_speed_resolves_to_its_uniform_group() {
+        for (m, num, den) in [(1, 1, 1), (4, 3, 2), (7, 2, 1), (3, 5, 3)] {
+            let s = Speed::new(num, den).unwrap();
+            assert_eq!(
+                SimConfig::at_speed(s).resolve_groups(m).unwrap(),
+                SimConfig::on_groups(MachineGroups::uniform(m, s).unwrap())
+                    .resolve_groups(m)
+                    .unwrap(),
+                "m {m} speed {num}/{den}"
+            );
         }
     }
 

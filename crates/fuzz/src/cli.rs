@@ -10,7 +10,7 @@
 //!   (`fuzz-min-<i>.txt`) next to the working directory, each with its
 //!   one-line replay command.
 //! * `dagsched fuzz --replay <path|seed>` — re-judge a fixture file
-//!   through all five oracle heads (exit non-zero on failure), or, given
+//!   through all four oracle heads (exit non-zero on failure), or, given
 //!   a bare integer, re-run the bounded loop under that master seed.
 
 use crate::oracle::{run_exec, OracleSet, Subject};
@@ -23,10 +23,9 @@ pub const USAGE: &str = "\
 usage: dagsched fuzz [--seed N] [--execs N] [--json]
        dagsched fuzz --replay <path|seed>
 
-Coverage-guided adversarial workload fuzzing with five oracle heads:
+Coverage-guided adversarial workload fuzzing with four oracle heads:
 the invariant suite, kernel-vs-scan byte equality, the
-paused-vs-one-shot differential, the delta-vs-rebuild handoff
-differential, and the grouped-vs-scalar platform twin
+paused-vs-one-shot differential, and the delta-vs-rebuild handoff
 differential. A fixed --seed reproduces the exact
 corpus trajectory; failures are delta-debugged and written as replay
 fixtures (fuzz-min-<i>.txt).
@@ -140,7 +139,7 @@ fn run_summary(report: &FuzzReport) -> String {
     s
 }
 
-/// Judge one decoded instance through all five oracle heads; the replay
+/// Judge one decoded instance through all four oracle heads; the replay
 /// verdict text lists each head. Used by `--replay <path>` and the fixture
 /// regression test. Fixtures carry no engine-configuration axis, so replay
 /// always judges under the defaults (event kernel, delta handoff,
@@ -154,9 +153,8 @@ pub fn replay_instance(text: &str) -> Result<String, String> {
         kernel_diff: false,
         pause_diff: false,
         handoff_diff: false,
-        twin_diff: false,
     };
-    let heads: [(&str, OracleSet); 5] = [
+    let heads: [(&str, OracleSet); 4] = [
         (
             "invariants",
             OracleSet {
@@ -185,13 +183,6 @@ pub fn replay_instance(text: &str) -> Result<String, String> {
                 ..off
             },
         ),
-        (
-            "grouped-vs-scalar",
-            OracleSet {
-                twin_diff: true,
-                ..off
-            },
-        ),
     ];
     let mut out = String::new();
     let mut failed = false;
@@ -210,7 +201,7 @@ pub fn replay_instance(text: &str) -> Result<String, String> {
     if failed {
         Err(format!("replay failed:\n{out}"))
     } else {
-        Ok(format!("replay clean under all five oracles:\n{out}"))
+        Ok(format!("replay clean under all four oracles:\n{out}"))
     }
 }
 
@@ -307,9 +298,8 @@ mod tests {
         let inst = crate::corpus::seed_corpus()[0].to_instance().unwrap();
         let text = codec::encode(&inst);
         let verdict = replay_instance(&text).expect("clean replay");
-        assert_eq!(verdict.matches("PASS").count(), 5);
+        assert_eq!(verdict.matches("PASS").count(), 4);
         assert!(verdict.contains("delta-vs-rebuild"));
-        assert!(verdict.contains("grouped-vs-scalar"));
     }
 
     #[test]

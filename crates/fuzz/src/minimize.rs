@@ -249,7 +249,6 @@ mod tests {
             kernel_diff: false,
             pause_diff: false,
             handoff_diff: false,
-            twin_diff: false,
         };
         let base = SimConfig::default();
         assert!(

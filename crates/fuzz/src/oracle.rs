@@ -1,38 +1,35 @@
-//! The five-headed oracle: what "the fuzzer found something" means.
+//! The four-headed oracle: what "the fuzzer found something" means.
 //!
-//! Every candidate instance is judged by up to five independent checks,
+//! Every candidate instance is judged by up to four independent checks,
 //! in order, stopping at the first failure:
 //!
 //! 1. **Invariants** — the `dagsched-verify` suite (band capacity per
 //!    Observation 3, allotment discipline per Lemma 1, δ-goodness, work
-//!    conservation) attached to a full run. The suite is built lenient so
-//!    the loop collects violations rather than unwinding; under the
-//!    `verify-strict` feature the semantics are identical, only the
-//!    failure transport differs.
-//! 2. **Kernel vs scan** — the run repeated under
-//!    [`WindowMode::EventKernel`] and [`WindowMode::ReferenceScan`] must
-//!    produce the same outcome, the same step count, and byte-identical
-//!    JSONL event streams.
+//!    conservation) attached to a full run under the base config. The
+//!    suite is built lenient so the loop collects violations rather than
+//!    unwinding; under the `verify-strict` feature the semantics are
+//!    identical, only the failure transport differs. When a differential
+//!    head is enabled, this run also records the JSONL event stream, and
+//!    it is the reference every differential head compares against.
+//! 2. **Kernel vs scan** — the run repeated under the window mode the base
+//!    config does not use ([`WindowMode::EventKernel`] or
+//!    [`WindowMode::ReferenceScan`]) must produce the same outcome, the
+//!    same step count, and a byte-identical JSONL event stream.
 //! 3. **Paused vs one-shot** — a [`SimDriver`] paused at several
 //!    deterministically-derived horizons must finish byte-identical to the
-//!    one-shot kernel run (the pacing-invisibility contract).
-//! 4. **Delta vs rebuild** — the run repeated under
-//!    [`HandoffMode::Delta`] and [`HandoffMode::Rebuild`] must produce the
-//!    same outcome, step count and JSONL stream (the incremental-handoff
-//!    contract from DESIGN.md §4.8).
-//! 5. **Grouped vs scalar** — a uniform single-group
-//!    [`MachineGroups`] platform at the base config's speed must be
-//!    byte-identical (outcome, step count, JSONL) to the frozen
-//!    [`PlatformMode::Scalar`] twin — the related-machines refactor's
-//!    scalar-twin contract (DESIGN.md §4.9). This head always compares the
-//!    *uniform* platform, whatever group shape the candidate is judged
-//!    under elsewhere.
+//!    head-1 run (the pacing-invisibility contract).
+//! 4. **Delta vs rebuild** — the run repeated under the handoff mode the
+//!    base config does not use ([`HandoffMode::Delta`] or
+//!    [`HandoffMode::Rebuild`]) must produce the same outcome, step count
+//!    and JSONL stream (the incremental-handoff contract from DESIGN.md
+//!    §4.8).
 //!
 //! A simulation error from any head is itself a failure (`sim-error`) —
 //! that is how scheduler mutants that emit invalid allocations are caught.
 //!
 //! The coverage features of head 1's run are returned alongside the
-//! verdict, so one exec yields both signals with at most eight simulations.
+//! verdict, so one exec yields both signals with at most four simulations
+//! (one per enabled head).
 //!
 //! All heads run over a caller-supplied *base* [`SimConfig`]
 //! ([`run_exec_with`]) so the fuzz loop can judge candidates under the
@@ -40,10 +37,10 @@
 //! override only the knob they are comparing.
 
 use crate::coverage::CoverageObserver;
-use dagsched_core::{AlgoParams, MachineGroups, Rng64, Time};
+use dagsched_core::{AlgoParams, Rng64, Time};
 use dagsched_engine::{
-    simulate_observed, HandoffMode, Observers, OnlineScheduler, PlatformMode, SimConfig, SimDriver,
-    SimObserver, SimResult, WindowMode,
+    simulate_observed, HandoffMode, Observers, OnlineScheduler, SimConfig, SimDriver, SimObserver,
+    SimResult, WindowMode,
 };
 use dagsched_sched::{SchedulerS, SchedulerSProfit};
 use dagsched_verify::{EventLog, InvariantSuite, WorkConservationChecker};
@@ -98,7 +95,7 @@ impl Subject {
     /// The general-profit subject: S-profit at ε = 1. Its slot-assignment
     /// admission deliberately breaks S's exact-allotment discipline, so only
     /// the universal work-conservation invariant applies; the differential
-    /// heads (kernel/pause/handoff/twin) carry the byte-equality burden —
+    /// heads (kernel/pause/handoff) carry the byte-equality burden —
     /// which is exactly where the slot-plan fast path would show a crack.
     pub fn scheduler_s_profit() -> Subject {
         Subject::new("S-profit", InvariantProfile::WorkOnly, |m| {
@@ -129,8 +126,6 @@ pub struct OracleSet {
     pub pause_diff: bool,
     /// Head 4: delta-vs-rebuild handoff byte equality.
     pub handoff_diff: bool,
-    /// Head 5: uniform-grouped-vs-scalar-twin byte equality.
-    pub twin_diff: bool,
 }
 
 impl Default for OracleSet {
@@ -140,7 +135,6 @@ impl Default for OracleSet {
             kernel_diff: true,
             pause_diff: true,
             handoff_diff: true,
-            twin_diff: true,
         }
     }
 }
@@ -149,8 +143,7 @@ impl Default for OracleSet {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OracleFailure {
     /// Which head failed: `invariants`, `kernel-vs-scan`,
-    /// `paused-vs-oneshot`, `delta-vs-rebuild`, `grouped-vs-scalar`, or
-    /// `sim-error`.
+    /// `paused-vs-oneshot`, `delta-vs-rebuild`, or `sim-error`.
     pub oracle: &'static str,
     /// Human-readable evidence (violation list or first diverging line).
     pub detail: String,
@@ -178,12 +171,15 @@ fn first_diff(label: &str, a: &str, b: &str) -> String {
     )
 }
 
+/// One simulation's result and its JSONL event stream.
+type Run = (SimResult, String);
+
 fn run_under(
     inst: &Instance,
     subject: &Subject,
     cfg: &SimConfig,
     label: &str,
-) -> Result<(SimResult, String), OracleFailure> {
+) -> Result<Run, OracleFailure> {
     let mut log = EventLog::new();
     let mut sched = subject.instantiate(inst.m());
     match simulate_observed(inst, sched.as_mut(), cfg, &mut log) {
@@ -195,17 +191,26 @@ fn run_under(
     }
 }
 
-fn run_windowed(
-    inst: &Instance,
-    subject: &Subject,
-    cfg: &SimConfig,
-    window: WindowMode,
-) -> Result<(SimResult, String), OracleFailure> {
-    let cfg = SimConfig {
-        window,
-        ..cfg.clone()
-    };
-    run_under(inst, subject, &cfg, &format!("{window:?}"))
+/// A differential head's verdict on two named runs: outcome and step count
+/// first, then the JSONL stream.
+fn compare(
+    oracle: &'static str,
+    (an, a): (&str, &Run),
+    (bn, b): (&str, &Run),
+) -> Option<OracleFailure> {
+    if !a.0.same_outcome(&b.0) || a.0.steps_executed != b.0.steps_executed {
+        return Some(OracleFailure {
+            oracle,
+            detail: format!(
+                "outcome diverges: {an} profit {} steps {}, {bn} profit {} steps {}",
+                a.0.total_profit, a.0.steps_executed, b.0.total_profit, b.0.steps_executed
+            ),
+        });
+    }
+    (a.1 != b.1).then(|| OracleFailure {
+        oracle,
+        detail: first_diff(&format!("{an} != {bn}"), &a.1, &b.1),
+    })
 }
 
 /// Run one candidate through the enabled oracle heads under the default
@@ -231,9 +236,9 @@ pub fn run_exec(
 ///
 /// `base` is the engine configuration the candidate is judged under — the
 /// fuzz loop passes [`FuzzInstance::base_config`](crate::ir::FuzzInstance)
-/// so the mutated window/handoff axis actually takes effect. Heads 2 and 4
-/// override the knob they compare (window resp. handoff) and inherit the
-/// rest.
+/// so the mutated window/handoff axis actually takes effect. Head 1 runs
+/// `base` itself; heads 2 and 4 run the window resp. handoff mode `base`
+/// does not use and compare against head 1's run.
 ///
 /// `pause_salt` seeds head 3's pause schedule; the caller derives it
 /// deterministically (from the master RNG in the fuzz loop, from the
@@ -249,257 +254,178 @@ pub fn run_exec_with(
     base: &SimConfig,
 ) -> ExecOutcome {
     let params = AlgoParams::from_epsilon(1.0).expect("valid epsilon");
-    let cfg = base.clone();
     if let Some(seed) = replay_seed {
         dagsched_verify::context::set_replay_seed(seed);
     }
+    let differential = set.kernel_diff || set.pause_diff || set.handoff_diff;
 
-    // Head 1 (always simulated — it carries the coverage signal).
+    // Head 1 (always simulated — it carries the coverage signal, and when a
+    // differential head runs, the reference event stream).
     let mut cov = CoverageObserver::new(params.c());
-    let mut failure: Option<OracleFailure>;
-    {
+    let mut suite = match subject.profile {
+        InvariantProfile::SchedulerS { backfill } if set.invariants => {
+            let mut suite = InvariantSuite::for_scheduler_s(params);
+            if backfill {
+                suite = suite.allow_backfill();
+            }
+            Some(suite.lenient())
+        }
+        _ => None,
+    };
+    let mut work = (set.invariants && subject.profile == InvariantProfile::WorkOnly)
+        .then(|| WorkConservationChecker::new().lenient());
+    let mut log = EventLog::new();
+    let ran = {
+        let mut fan: Vec<&mut dyn SimObserver> = Vec::new();
+        if let Some(s) = suite.as_mut() {
+            fan.push(s);
+        }
+        if let Some(w) = work.as_mut() {
+            fan.push(w);
+        }
+        fan.push(&mut cov);
+        if differential {
+            fan.push(&mut log);
+        }
         let mut sched = subject.instantiate(inst.m());
-        let run_with =
-            |obs: &mut dyn SimObserver, sched: &mut dyn OnlineScheduler| -> Option<OracleFailure> {
-                match simulate_observed(inst, sched, &cfg, obs) {
-                    Ok(_) => None,
-                    Err(e) => Some(OracleFailure {
-                        oracle: "sim-error",
-                        detail: e.to_string(),
-                    }),
+        simulate_observed(inst, sched.as_mut(), base, &mut Observers::new(fan))
+    };
+    let one_shot = match ran {
+        Err(e) => Err(OracleFailure {
+            oracle: "sim-error",
+            detail: e.to_string(),
+        }),
+        Ok(r) => {
+            let vs = suite.as_ref().map_or_else(Vec::new, |s| s.violations());
+            if !vs.is_empty() {
+                let mut lines: Vec<String> = vs.iter().take(4).map(|v| v.to_string()).collect();
+                if vs.len() > 4 {
+                    lines.push(format!("... and {} more", vs.len() - 4));
                 }
-            };
-        match subject.profile {
-            InvariantProfile::SchedulerS { backfill } if set.invariants => {
-                let mut suite = InvariantSuite::for_scheduler_s(params);
-                if backfill {
-                    suite = suite.allow_backfill();
-                }
-                let mut suite = suite.lenient();
-                {
-                    let mut fan = Observers::new(vec![&mut suite, &mut cov]);
-                    failure = run_with(&mut fan, sched.as_mut());
-                }
-                if failure.is_none() {
-                    let vs = suite.violations();
-                    if !vs.is_empty() {
-                        let mut lines: Vec<String> =
-                            vs.iter().take(4).map(|v| v.to_string()).collect();
-                        if vs.len() > 4 {
-                            lines.push(format!("... and {} more", vs.len() - 4));
-                        }
-                        failure = Some(OracleFailure {
-                            oracle: "invariants",
-                            detail: lines.join("; "),
-                        });
-                    }
-                }
-            }
-            InvariantProfile::WorkOnly if set.invariants => {
-                let mut work = WorkConservationChecker::new().lenient();
-                {
-                    let mut fan = Observers::new(vec![&mut work, &mut cov]);
-                    failure = run_with(&mut fan, sched.as_mut());
-                }
-                if failure.is_none() && !work.violations().is_empty() {
-                    failure = Some(OracleFailure {
-                        oracle: "invariants",
-                        detail: work.violations()[0].to_string(),
-                    });
-                }
-            }
-            _ => {
-                failure = run_with(&mut cov, sched.as_mut());
+                Err(OracleFailure {
+                    oracle: "invariants",
+                    detail: lines.join("; "),
+                })
+            } else if let Some(v) = work.as_ref().and_then(|w| w.violations().first()) {
+                Err(OracleFailure {
+                    oracle: "invariants",
+                    detail: v.to_string(),
+                })
+            } else {
+                Ok((r, log.to_jsonl()))
             }
         }
-    }
-    if failure.is_some() {
-        return ExecOutcome {
-            features: cov.into_features(),
-            failure,
-        };
-    }
+    };
+    let one_shot = match one_shot {
+        Ok(run) if differential => run,
+        verdict => {
+            return ExecOutcome {
+                features: cov.into_features(),
+                failure: verdict.err(),
+            }
+        }
+    };
 
-    // Head 2: kernel vs scan byte equality.
-    let mut one_shot: Option<(SimResult, String)> = None;
+    let mut failure = None;
     if set.kernel_diff {
-        let kernel = run_windowed(inst, subject, &cfg, WindowMode::EventKernel);
-        let scan = run_windowed(inst, subject, &cfg, WindowMode::ReferenceScan);
-        match (kernel, scan) {
-            (Ok(k), Ok(s)) => {
-                if !k.0.same_outcome(&s.0) || k.0.steps_executed != s.0.steps_executed {
-                    failure =
-                        Some(OracleFailure {
-                            oracle: "kernel-vs-scan",
-                            detail: format!(
-                            "outcome diverges: kernel profit {} steps {}, scan profit {} steps {}",
-                            k.0.total_profit, k.0.steps_executed, s.0.total_profit,
-                            s.0.steps_executed
-                        ),
-                        });
-                } else if k.1 != s.1 {
-                    failure = Some(OracleFailure {
-                        oracle: "kernel-vs-scan",
-                        detail: first_diff("kernel != scan", &k.1, &s.1),
-                    });
-                } else {
-                    one_shot = Some(k);
-                }
-            }
-            (Err(f), _) | (_, Err(f)) => failure = Some(f),
-        }
+        failure = kernel_vs_scan(inst, subject, base, &one_shot);
     }
-    if failure.is_some() {
-        return ExecOutcome {
-            features: cov.into_features(),
-            failure,
-        };
+    if failure.is_none() && set.pause_diff {
+        failure = paused_vs_oneshot(inst, subject, base, &one_shot, pause_salt);
     }
-
-    // Head 3: paused driver vs one-shot, kernel mode.
-    if set.pause_diff {
-        let one_shot = match one_shot {
-            Some(k) => Ok(k),
-            None => run_windowed(inst, subject, &cfg, WindowMode::EventKernel),
-        };
-        match one_shot {
-            Ok(base) => {
-                let span = inst.stats().horizon.ticks() + 8;
-                let mut prng = Rng64::seed_from(pause_salt);
-                let n_pauses = 1 + prng.gen_range(6) as usize;
-                let mut log = EventLog::new();
-                let mut sched = subject.instantiate(inst.m());
-                let mut driver = SimDriver::with_observer(
-                    inst,
-                    sched.as_mut(),
-                    &cfg,
-                    &mut log as &mut dyn SimObserver,
-                );
-                let mut pause_err: Option<OracleFailure> = None;
-                for _ in 0..n_pauses {
-                    if let Err(e) = driver.run_until(Time(prng.gen_range(span.max(1)))) {
-                        pause_err = Some(OracleFailure {
-                            oracle: "sim-error",
-                            detail: format!("paused run: {e}"),
-                        });
-                        break;
-                    }
-                }
-                let paused = match pause_err {
-                    Some(f) => Err(f),
-                    None => driver.finish().map_err(|e| OracleFailure {
-                        oracle: "sim-error",
-                        detail: format!("paused finish: {e}"),
-                    }),
-                };
-                match paused {
-                    Ok(r) => {
-                        let jsonl = log.to_jsonl();
-                        if !r.same_outcome(&base.0)
-                            || r.steps_executed != base.0.steps_executed
-                            || jsonl != base.1
-                        {
-                            failure = Some(OracleFailure {
-                                oracle: "paused-vs-oneshot",
-                                detail: first_diff("paused != one-shot", &jsonl, &base.1),
-                            });
-                        }
-                    }
-                    Err(f) => failure = Some(f),
-                }
-            }
-            Err(f) => failure = Some(f),
-        }
+    if failure.is_none() && set.handoff_diff {
+        failure = delta_vs_rebuild(inst, subject, base, &one_shot);
     }
-    if failure.is_some() {
-        return ExecOutcome {
-            features: cov.into_features(),
-            failure,
-        };
-    }
-
-    // Head 4: delta vs rebuild handoff byte equality.
-    if set.handoff_diff {
-        let run_handoff = |handoff: HandoffMode, label: &str| {
-            let cfg = SimConfig {
-                handoff,
-                ..cfg.clone()
-            };
-            run_under(inst, subject, &cfg, label)
-        };
-        let delta = run_handoff(HandoffMode::Delta, "delta handoff");
-        let rebuild = run_handoff(HandoffMode::Rebuild, "rebuild handoff");
-        match (delta, rebuild) {
-            (Ok(d), Ok(r)) => {
-                if !d.0.same_outcome(&r.0) || d.0.steps_executed != r.0.steps_executed {
-                    failure = Some(OracleFailure {
-                        oracle: "delta-vs-rebuild",
-                        detail: format!(
-                            "outcome diverges: delta profit {} steps {}, rebuild profit {} steps {}",
-                            d.0.total_profit, d.0.steps_executed, r.0.total_profit,
-                            r.0.steps_executed
-                        ),
-                    });
-                } else if d.1 != r.1 {
-                    failure = Some(OracleFailure {
-                        oracle: "delta-vs-rebuild",
-                        detail: first_diff("delta != rebuild", &d.1, &r.1),
-                    });
-                }
-            }
-            (Err(f), _) | (_, Err(f)) => failure = Some(f),
-        }
-    }
-    if failure.is_some() {
-        return ExecOutcome {
-            features: cov.into_features(),
-            failure,
-        };
-    }
-
-    // Head 5: uniform grouped platform vs the frozen scalar twin. Always
-    // compares the uniform platform at `cfg.speed` — a candidate judged
-    // under a heterogeneous shape elsewhere still pins the twin contract
-    // here, which is what keeps the refactored arithmetic honest on every
-    // exec.
-    if set.twin_diff {
-        let uniform = MachineGroups::uniform(inst.m(), cfg.speed).expect("m >= 1");
-        let grouped_cfg = SimConfig {
-            groups: Some(uniform),
-            platform: PlatformMode::Grouped,
-            ..cfg.clone()
-        };
-        let scalar_cfg = SimConfig {
-            groups: None,
-            platform: PlatformMode::Scalar,
-            ..cfg.clone()
-        };
-        let grouped = run_under(inst, subject, &grouped_cfg, "uniform grouped");
-        let scalar = run_under(inst, subject, &scalar_cfg, "scalar twin");
-        match (grouped, scalar) {
-            (Ok(g), Ok(s)) => {
-                if !g.0.same_outcome(&s.0) || g.0.steps_executed != s.0.steps_executed {
-                    failure = Some(OracleFailure {
-                        oracle: "grouped-vs-scalar",
-                        detail: format!(
-                            "outcome diverges: grouped profit {} steps {}, scalar profit {} steps {}",
-                            g.0.total_profit, g.0.steps_executed, s.0.total_profit,
-                            s.0.steps_executed
-                        ),
-                    });
-                } else if g.1 != s.1 {
-                    failure = Some(OracleFailure {
-                        oracle: "grouped-vs-scalar",
-                        detail: first_diff("grouped != scalar", &g.1, &s.1),
-                    });
-                }
-            }
-            (Err(f), _) | (_, Err(f)) => failure = Some(f),
-        }
-    }
-
     ExecOutcome {
         features: cov.into_features(),
         failure,
     }
+}
+
+/// Head 2: the window mode `base` does not use, against the one-shot run.
+fn kernel_vs_scan(
+    inst: &Instance,
+    subject: &Subject,
+    base: &SimConfig,
+    one_shot: &Run,
+) -> Option<OracleFailure> {
+    let window = match base.window {
+        WindowMode::EventKernel => WindowMode::ReferenceScan,
+        WindowMode::ReferenceScan => WindowMode::EventKernel,
+    };
+    let cfg = SimConfig {
+        window,
+        ..base.clone()
+    };
+    let other = match run_under(inst, subject, &cfg, &format!("{window:?}")) {
+        Ok(run) => run,
+        Err(f) => return Some(f),
+    };
+    let (kernel, scan) = match window {
+        WindowMode::ReferenceScan => (one_shot, &other),
+        WindowMode::EventKernel => (&other, one_shot),
+    };
+    compare("kernel-vs-scan", ("kernel", kernel), ("scan", scan))
+}
+
+/// Head 3: a driver paused at salt-derived horizons, against the one-shot
+/// run.
+fn paused_vs_oneshot(
+    inst: &Instance,
+    subject: &Subject,
+    base: &SimConfig,
+    one_shot: &Run,
+    pause_salt: u64,
+) -> Option<OracleFailure> {
+    let sim_error = |what: &str, e: dagsched_core::SchedError| OracleFailure {
+        oracle: "sim-error",
+        detail: format!("paused {what}: {e}"),
+    };
+    let span = inst.stats().horizon.ticks().saturating_add(8);
+    let mut prng = Rng64::seed_from(pause_salt);
+    let n_pauses = 1 + prng.gen_range(6) as usize;
+    let mut log = EventLog::new();
+    let mut sched = subject.instantiate(inst.m());
+    let mut driver =
+        SimDriver::with_observer(inst, sched.as_mut(), base, &mut log as &mut dyn SimObserver);
+    for _ in 0..n_pauses {
+        if let Err(e) = driver.run_until(Time(prng.gen_range(span.max(1)))) {
+            return Some(sim_error("run", e));
+        }
+    }
+    let r = match driver.finish() {
+        Ok(r) => r,
+        Err(e) => return Some(sim_error("finish", e)),
+    };
+    compare(
+        "paused-vs-oneshot",
+        ("paused", &(r, log.to_jsonl())),
+        ("one-shot", one_shot),
+    )
+}
+
+/// Head 4: the handoff mode `base` does not use, against the one-shot run.
+fn delta_vs_rebuild(
+    inst: &Instance,
+    subject: &Subject,
+    base: &SimConfig,
+    one_shot: &Run,
+) -> Option<OracleFailure> {
+    let (handoff, label) = match base.handoff {
+        HandoffMode::Delta => (HandoffMode::Rebuild, "rebuild handoff"),
+        HandoffMode::Rebuild => (HandoffMode::Delta, "delta handoff"),
+    };
+    let cfg = SimConfig {
+        handoff,
+        ..base.clone()
+    };
+    let other = match run_under(inst, subject, &cfg, label) {
+        Ok(run) => run,
+        Err(f) => return Some(f),
+    };
+    let (delta, rebuild) = match handoff {
+        HandoffMode::Rebuild => (one_shot, &other),
+        HandoffMode::Delta => (&other, one_shot),
+    };
+    compare("delta-vs-rebuild", ("delta", delta), ("rebuild", rebuild))
 }

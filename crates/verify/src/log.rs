@@ -95,8 +95,8 @@ impl SimObserver for EventLog {
     }
 
     fn on_platform(&mut self, groups: &MachineGroups) {
-        // Fires only on non-uniform platforms, so uniform streams (and the
-        // scalar-twin byte-identity contract) are untouched.
+        // Fires only on non-uniform platforms, so uniform streams are
+        // untouched.
         let mut line = format!(
             r#"{{"ev":"platform","groups":"{groups}","scale":{},"units":["#,
             groups.work_scale()

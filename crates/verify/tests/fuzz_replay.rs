@@ -3,14 +3,16 @@
 //! Each fixture under `tests/fixtures/` is a hand-minimized near-miss from
 //! the adversarial families (triple-tie instants, Figure 1 DAGs at the
 //! Brent bound, density-band burst ties, parked-majority delta churn,
-//! carry-over-sensitive chains, pick-sensitive forks).
+//! carry-over-sensitive chains, pick-sensitive forks) or a hostile input
+//! (a machine claiming four billion processors, u64-extreme work, arrival,
+//! profit bound and profit value).
 //! None currently violates an oracle — the regression is that they stay
-//! green under all five heads (invariants, kernel-vs-scan,
-//! paused-vs-one-shot, delta-vs-rebuild, grouped-vs-scalar) as the engine
-//! evolves, and that any future counterexample promoted here immediately
-//! fails CI. The configuration-axis fixtures are additionally re-judged
-//! under the non-default flag they were promoted for, plus a sensitivity
-//! check proving the flag actually changes the outcome on that workload.
+//! green under all four heads (invariants, kernel-vs-scan,
+//! paused-vs-one-shot, delta-vs-rebuild) as the engine evolves, and that
+//! any future counterexample promoted here immediately fails CI. The
+//! configuration-axis fixtures are additionally re-judged under the
+//! non-default flag they were promoted for, plus a sensitivity check
+//! proving the flag actually changes the outcome on that workload.
 
 use dagsched_core::Speed;
 use dagsched_engine::{simulate, NodePick, SimConfig};
@@ -28,6 +30,11 @@ const FIXTURES: &[&str] = &[
     "carryover-chain.txt",
     "pick-diamond.txt",
     "profit-cliff.txt",
+    "hostile-m.txt",
+    "u64-work.txt",
+    "u64-arrival.txt",
+    "u64-bound.txt",
+    "u64-value.txt",
 ];
 
 fn fixture(name: &str) -> String {
@@ -39,18 +46,17 @@ fn assert_replays_clean(name: &str) {
     let text = fixture(name);
     let verdict =
         replay_instance(&text).unwrap_or_else(|e| panic!("{name} fails an oracle head:\n{e}"));
-    // All five heads must have actually run and passed.
+    // All four heads must have actually run and passed.
     assert_eq!(
         verdict.matches("PASS").count(),
-        5,
-        "{name}: expected five PASS lines, got:\n{verdict}"
+        4,
+        "{name}: expected four PASS lines, got:\n{verdict}"
     );
     for head in [
         "invariants",
         "kernel-vs-scan",
         "paused-vs-oneshot",
         "delta-vs-rebuild",
-        "grouped-vs-scalar",
     ] {
         assert!(
             verdict.contains(head),
@@ -120,6 +126,25 @@ fn pick_fixture_replays_clean() {
 #[test]
 fn profit_cliff_fixture_replays_clean() {
     assert_replays_clean("profit-cliff.txt");
+}
+
+/// A machine count of four billion must not size anything: the platform
+/// holds one placement run per group.
+#[test]
+fn hostile_m_fixture_replays_clean() {
+    assert_replays_clean("hostile-m.txt");
+}
+
+#[test]
+fn u64_extreme_fixtures_replay_clean() {
+    for name in [
+        "u64-work.txt",
+        "u64-arrival.txt",
+        "u64-bound.txt",
+        "u64-value.txt",
+    ] {
+        assert_replays_clean(name);
+    }
 }
 
 /// Every fixture also stays green with the general-profit scheduler as the

@@ -304,7 +304,6 @@ fn kill_cfg(seed: u64) -> FuzzConfig {
             kernel_diff: false,
             pause_diff: false,
             handoff_diff: false,
-            twin_diff: false,
         },
         minimize: false,
         ..FuzzConfig::default()
