@@ -171,8 +171,9 @@ macro_rules! impl_newtype_arith {
             }
         }
         impl Sum for $t {
+            /// Saturates at `u64::MAX` instead of overflowing.
             fn sum<I: Iterator<Item = $t>>(iter: I) -> $t {
-                $t(iter.map(|v| v.0).sum())
+                $t(iter.fold(0, |acc, v| acc.saturating_add(v.0)))
             }
         }
         impl fmt::Display for $t {

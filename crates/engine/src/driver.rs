@@ -255,6 +255,14 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
                 jobs[self.life.next_arrival].arrival
             };
             if next > self.clock.now() {
+                if next >= self.clock.horizon() {
+                    // Nothing at or past the horizon is simulated: the run
+                    // ends here, exactly as the run guard would end it once
+                    // the clock got there.
+                    self.obs.on_end(self.clock.now());
+                    self.done = true;
+                    return Ok(false);
+                }
                 self.clock.skip_idle_to(next);
             }
         }

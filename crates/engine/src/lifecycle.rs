@@ -345,7 +345,7 @@ impl Lifecycle {
             let job = &jobs[id.index()];
             let rel = Time(t_done.since(job.arrival));
             let profit = job.profit.eval(rel);
-            self.total_profit += profit;
+            self.total_profit = self.total_profit.saturating_add(profit);
             self.outcomes[id.index()] = JobStatus::Completed { at: t_done, profit };
             if let Some(slot) = self.live[id.index()].take() {
                 self.pool.push(slot);

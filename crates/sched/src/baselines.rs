@@ -27,35 +27,34 @@
 //!   Garg, Gupta, Kumar & Singla: the machine is split evenly among alive
 //!   jobs with no access to work, span, deadline, or profit.
 //!
-//! Every priority key here is fixed at arrival, so the alive list is kept
-//! *insertion-sorted* by `(key, seq)` instead of being cloned and re-sorted
-//! per tick: the unique ascending `seq` tiebreak makes the maintained order
-//! identical to the old stable sort, and the per-tick path (a walk plus a
-//! dense ready-count scratch) allocates nothing.
+//! Every priority key here is fixed at arrival, so the alive set lives in an
+//! [`AliveIndex`] ordered by `(key, seq)` instead of being re-sorted per
+//! tick: the unique ascending `seq` tiebreak makes its order identical to a
+//! stable sort of the arrival-ordered list. Arrival, completion and expiry
+//! are O(log n) each — a parked backlog of thousands of jobs costs every
+//! hook a tree descent, not a shift or scan of the whole list — and the
+//! per-tick path (an in-order walk plus a dense ready-count scratch)
+//! allocates nothing.
 
-use crate::slab::DenseU32Map;
+use crate::slab::{AliveIndex, DenseU32Map};
 use dagsched_core::{AlgoParams, JobId, Rng64, Time};
 use dagsched_engine::{
     AdmissionDecision, AdmissionEvent, Allocation, JobInfo, OnlineScheduler, TickView, ViewDelta,
 };
 
-/// Arrival-time facts a baseline keeps per alive job.
+/// Arrival-time facts a baseline's priority key is computed from.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
-    id: JobId,
     seq: u64,
     deadline: Time,
     density: f64,
     laxity_key: f64,
-    /// The owning scheduler's priority key, computed once at arrival.
-    sort_key: f64,
 }
 
-/// Shared alive-set bookkeeping: a `(sort_key, seq)`-sorted list.
+/// Shared alive-set bookkeeping: the alive ids in `(key, seq)` order.
 #[derive(Debug, Default)]
 struct Base {
-    alive: Vec<Entry>,
-    seq: u64,
+    alive: AliveIndex<()>,
 }
 
 impl Base {
@@ -67,35 +66,21 @@ impl Base {
             info.arrival
                 .saturating_add(info.profit.last_useful_time().ticks())
         });
-        let mut e = Entry {
-            id: info.id,
-            seq: self.seq,
+        let e = Entry {
+            seq: self.alive.next_seq(),
             deadline,
             density: info.profit.max_profit() as f64 / w,
             laxity_key: deadline.as_f64() - brent,
-            sort_key: 0.0,
         };
-        e.sort_key = key(&e);
-        self.seq += 1;
-        // `e.seq` is the largest seq so far, so among equal keys the new
-        // entry lands after every existing one — exactly where a stable
-        // sort by `(key, seq)` would put it.
-        let at = self.alive.partition_point(|x| {
-            x.sort_key
-                .total_cmp(&e.sort_key)
-                .then(x.seq.cmp(&e.seq))
-                .is_lt()
-        });
-        self.alive.insert(at, e);
+        self.alive.insert(info.id, key(&e), ());
     }
 
     fn remove(&mut self, id: JobId) {
-        self.alive.retain(|e| e.id != id);
+        self.alive.remove(id);
     }
 
     fn clear(&mut self) {
         self.alive.clear();
-        self.seq = 0;
     }
 }
 
@@ -186,7 +171,7 @@ macro_rules! baseline {
                 self.lut_live = false;
                 out.clear();
                 fill_into(
-                    self.base.alive.iter().map(|e| e.id),
+                    self.base.alive.ids(),
                     view,
                     &mut self.ready_lut,
                     out,
@@ -216,7 +201,7 @@ macro_rules! baseline {
                 }
                 out.clear();
                 fill_with_lut(
-                    self.base.alive.iter().map(|e| e.id),
+                    self.base.alive.ids(),
                     view.m,
                     &self.ready_lut,
                     out,
@@ -323,7 +308,7 @@ impl OnlineScheduler for RandomOrder {
     fn allocate_into(&mut self, view: &TickView<'_>, out: &mut Allocation) {
         out.clear();
         self.ids.clear();
-        self.ids.extend(self.base.alive.iter().map(|e| e.id));
+        self.ids.extend(self.base.alive.ids());
         self.rng.shuffle(&mut self.ids);
         fill_into(self.ids.iter().copied(), view, &mut self.ready_lut, out);
     }
@@ -354,10 +339,9 @@ impl OnlineScheduler for RandomOrder {
 pub struct SNoAdmission {
     m: u32,
     params: AlgoParams,
-    /// (density, seq, id, allot) of alive jobs, kept sorted by
-    /// (density desc, seq asc) — the allocate order.
-    alive: Vec<(f64, u64, JobId, u32)>,
-    seq: u64,
+    /// Alive jobs' allotments keyed by `-density`: (density desc, seq asc)
+    /// — the allocate order.
+    alive: AliveIndex<u32>,
     report: Option<Vec<AdmissionEvent>>,
     /// True while `out` from the previous allocate call is still current
     /// (delta path: the walk ignores ready counts, so only hook-driven
@@ -371,8 +355,7 @@ impl SNoAdmission {
         SNoAdmission {
             m,
             params,
-            alive: Vec::new(),
-            seq: 0,
+            alive: AliveIndex::new(),
             report: None,
             cache_live: false,
         }
@@ -396,15 +379,9 @@ impl OnlineScheduler for SNoAdmission {
         };
         let x = AlgoParams::x_time(w, l, allot);
         let density = profit as f64 / (x * allot as f64);
-        let e = (density, self.seq, info.id, allot);
-        self.seq += 1;
-        // Descending density, ascending seq; the new seq is the largest, so
-        // equal densities place it after every existing equal — matching
-        // the stable sort this list used to undergo per tick.
-        let at = self
-            .alive
-            .partition_point(|x| x.0.total_cmp(&e.0).reverse().then(x.1.cmp(&e.1)).is_lt());
-        self.alive.insert(at, e);
+        // Negation reverses `total_cmp`'s order bit for bit, so ascending
+        // `-density` is descending density, ties in arrival order.
+        self.alive.insert(info.id, -density, allot);
         if let Some(buf) = self.report.as_mut() {
             // The ablation's whole point: every job is admitted.
             buf.push(AdmissionEvent {
@@ -414,10 +391,10 @@ impl OnlineScheduler for SNoAdmission {
         }
     }
     fn on_completion(&mut self, id: JobId, _now: Time) {
-        self.alive.retain(|e| e.2 != id);
+        self.alive.remove(id);
     }
     fn on_expiry(&mut self, id: JobId, _now: Time) {
-        self.alive.retain(|e| e.2 != id);
+        self.alive.remove(id);
     }
     fn allocate(&mut self, view: &TickView<'_>) -> Allocation {
         let mut out = Vec::new();
@@ -428,7 +405,7 @@ impl OnlineScheduler for SNoAdmission {
         self.cache_live = false;
         out.clear();
         let mut left = view.m;
-        for &(_, _, id, allot) in &self.alive {
+        for (id, &allot) in self.alive.iter() {
             if left == 0 {
                 break;
             }
@@ -470,7 +447,6 @@ impl OnlineScheduler for SNoAdmission {
 
     fn reset(&mut self) -> bool {
         self.alive.clear();
-        self.seq = 0;
         self.report = None;
         self.cache_live = false;
         true

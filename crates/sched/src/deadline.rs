@@ -276,7 +276,7 @@ impl SchedulerS {
         }
         self.q.insert(key);
         self.bands.insert(id, density, allot);
-        self.metrics.started_profit += profit;
+        self.metrics.started_profit = self.metrics.started_profit.saturating_add(profit);
         self.metrics.started_count += 1;
         self.metrics.max_q_len = self.metrics.max_q_len.max(self.q.len());
         self.record(id, AdmissionDecision::Admitted);

@@ -22,10 +22,13 @@
 //! population — a [`BTreeMap`] from run start to [`Segment`], each holding
 //! its population sorted by density with a prefix-sum table of allotments.
 //! Within a run every tick has the same population, so the admission scan
-//! checks each run **once** (per-band loads by prefix-sum subtraction,
-//! `O(log)` per band) instead of rebuilding a population `Vec` per tick,
-//! and the per-tick allocation is *piecewise constant*: it can only change
-//! at a run boundary or a job event. That is exactly the engine's
+//! checks each run **once** instead of rebuilding a population `Vec` per
+//! tick. It walks the plan with one forward cursor; a run whose
+//! aggregates (total allotment, density range) decide the verdict is
+//! answered in O(1) (see [`quick_verdict`]), the rest get the incremental
+//! band check (per-band loads by prefix-sum subtraction, `O(log)` per
+//! band). The per-tick allocation is *piecewise constant*: it can only
+//! change at a run boundary or a job event. That is exactly the engine's
 //! bounded-stability contract
 //! ([`bounded_stability`](OnlineScheduler::bounded_stability) /
 //! [`stable_until`](OnlineScheduler::stable_until)), so the fast-forward
@@ -153,6 +156,53 @@ fn seg_fits(seg: &Segment, v: f64, allot: u32, c: f64, capacity: f64) -> bool {
     true
 }
 
+/// [`seg_fits`]'s verdict in O(1) from the run's aggregates, or `None`
+/// when they leave it open. The aggregates are `total = prefix.last()` and
+/// the population's density range `[min, max]` (its first and last
+/// entries).
+///
+/// * **Accept** when `total + allot ≤ b·m`: every band load is at most
+///   `total`, so no band can exceed capacity.
+/// * **Reject** when one band that `seg_fits` checks holds the whole
+///   population and the candidate: the candidate's own band `[v, c·v)`
+///   when `v < min` and `max < c·v`, or the band anchored at `min` when
+///   `min ≤ v < c·min` and `max < c·min` (`seg_fits`'s downward walk never
+///   stops above `min`, because every anchor `α ≥ min` has
+///   `c·α ≥ c·min > v`). Its load is `total + allot`, which the accept test
+///   just found over capacity.
+///
+/// Anything else — a population wider than one band, a candidate above
+/// `c·min`, a NaN — falls back to the band walk. The comparisons use the
+/// same expressions as `seg_fits` (`c * v`, `c * anchor`,
+/// `load as f64 > capacity`), and a rounded product is monotone in its
+/// factor for `c > 0`, so the verdict equals `seg_fits` bit for bit.
+fn quick_verdict(seg: &Segment, v: f64, allot: u32, c: f64, capacity: f64) -> Option<bool> {
+    let total = seg.prefix.last().copied().unwrap_or(0) + allot as u64;
+    if total as f64 <= capacity {
+        return Some(true);
+    }
+    let min = seg.entries.first().map_or(f64::NAN, |e| e.density);
+    let max = seg.entries.last().map_or(f64::NAN, |e| e.density);
+    let whole_band = if v < min {
+        max < c * v
+    } else {
+        v < c * min && max < c * min
+    };
+    whole_band.then_some(false)
+}
+
+/// [`seg_fits`] through [`quick_verdict`] first: O(1) for the runs whose
+/// aggregates decide it, the band walk for the rest.
+fn run_fits(seg: &Segment, v: f64, allot: u32, c: f64, capacity: f64) -> bool {
+    match quick_verdict(seg, v, allot, c, capacity) {
+        Some(fits) => {
+            debug_assert_eq!(fits, seg_fits(seg, v, allot, c, capacity));
+            fits
+        }
+        None => seg_fits(seg, v, allot, c, capacity),
+    }
+}
+
 /// The run containing tick `t`, if any.
 fn segment_at(plan: &BTreeMap<Time, Segment>, t: Time) -> Option<&Segment> {
     plan.range(..=t)
@@ -255,11 +305,12 @@ impl SchedulerSProfit {
     /// `k_needed` slots must lie in `[arrival, arrival + D)` with
     /// `D ≤ bound`; `min_d` enforces both the `(1+ε)L` floor and the
     /// previous segment's bound (for profit-value consistency). The scan
-    /// walks whole runs and gaps — one band check per run — and returns the
-    /// accepted ticks as ranges; tick for tick it accepts exactly what the
-    /// per-tick oracle accepts, because every tick of a run shares its
-    /// population (and every gap tick trivially fits once
-    /// `allot ≤ capacity`).
+    /// walks whole runs and gaps with one forward cursor over the plan —
+    /// one [`run_fits`] verdict per run, O(1) unless the run's aggregates
+    /// leave it open — and returns the accepted ticks as ranges; tick for
+    /// tick it accepts exactly what the per-tick oracle accepts, because
+    /// every tick of a run shares its population (and every gap tick
+    /// trivially fits once `allot ≤ capacity`).
     fn search_segment(
         &self,
         arrival: Time,
@@ -282,13 +333,23 @@ impl SchedulerSProfit {
         let mut count = 0usize;
         let mut t = arrival;
         let end = arrival.saturating_add(bound);
+        // Runs in order from the last one starting at or before `arrival`;
+        // runs that end at or before `t` are stepped over, so the head is
+        // either the run holding `t` or the first run after it.
+        let first = self
+            .plan
+            .range(..=arrival)
+            .next_back()
+            .map_or(arrival, |(&start, _)| start);
+        let mut runs = self.plan.range(first..).peekable();
         while t < end && count < k_needed {
-            let (stop, usable) = match segment_at(&self.plan, t) {
-                Some(seg) => (seg.end.min(end), seg_fits(seg, v, allot, c, capacity)),
-                None => (
-                    next_start_after(&self.plan, t).unwrap_or(end).min(end),
-                    true,
-                ),
+            while runs.next_if(|(_, seg)| seg.end <= t).is_some() {}
+            let (stop, usable) = match runs.peek() {
+                Some((&start, seg)) if start <= t => {
+                    (seg.end.min(end), run_fits(seg, v, allot, c, capacity))
+                }
+                Some((&start, _)) => (start.min(end), true),
+                None => (end, true),
             };
             if usable {
                 let take = stop.since(t).min((k_needed - count) as u64);
@@ -493,7 +554,10 @@ impl OnlineScheduler for SchedulerSProfit {
                 self.jobs[idx] = Some(PJob { ranges });
                 self.history.insert(info.id, (abs_deadline, k_needed));
                 self.metrics.scheduled += 1;
-                self.metrics.planned_profit += info.profit.eval(Time(d));
+                self.metrics.planned_profit = self
+                    .metrics
+                    .planned_profit
+                    .saturating_add(info.profit.eval(Time(d)));
                 self.metrics.stretch_sum += d as f64 / x_star;
                 return;
             }
@@ -600,6 +664,60 @@ mod tests {
             work: Work(w),
             span: Work(l),
             profit,
+        }
+    }
+
+    /// A run holding `(density, allot)` entries, ids in list order.
+    fn run_of(pop: &[(f64, u32)]) -> Segment {
+        let entry = |i: usize| SlotEntry {
+            density: pop[i].0,
+            allot: pop[i].1,
+            id: JobId(i as u32),
+        };
+        let mut seg = Segment::single(Time(1), entry(0));
+        for i in 1..pop.len() {
+            seg.insert(entry(i));
+        }
+        seg
+    }
+
+    #[test]
+    fn quick_verdict_decides_one_band_populations_at_their_edges() {
+        let params = AlgoParams::from_epsilon(1.0).unwrap();
+        let (c, capacity) = (params.c(), params.b() * 4.0);
+        let min = 0.5;
+        // The widest population one band holds: `max` just below `c·min`.
+        let top = (c * min).next_down();
+        let full = run_of(&[(min, 2), (top, 1)]);
+        let fits = |seg: &Segment, v: f64| seg_fits(seg, v, 1, c, capacity);
+        let quick = |seg: &Segment, v: f64| quick_verdict(seg, v, 1, c, capacity);
+        // 3 + 1 exceeds b·m = 3.46; the band at `min` holds everything.
+        for v in [min, min.next_up(), (min + top) / 2.0, top] {
+            assert_eq!(quick(&full, v), Some(false), "v = {v}");
+            assert!(!fits(&full, v), "v = {v}");
+        }
+        // A candidate at exactly `c·min` starts a band past the population
+        // and the walk's `min` band misses it: left to the walk, which
+        // accepts.
+        assert_eq!(quick(&full, c * min), None);
+        assert!(fits(&full, c * min));
+        // Below `min` the candidate's own band must reach `max`.
+        let low = min / 2.0;
+        assert_eq!(quick(&full, low), None);
+        assert!(fits(&full, low));
+        for v in [top / c, (top / c).next_down(), (top / c).next_up()] {
+            if let Some(q) = quick(&full, v) {
+                assert_eq!(q, fits(&full, v), "v = max/c neighbour {v}");
+            }
+        }
+        // Under capacity everything is accepted without a walk.
+        let light = run_of(&[(min, 1), (top, 1)]);
+        assert_eq!(quick(&light, low), Some(true));
+        assert!(fits(&light, low));
+        // A population wider than one band is always left to the walk.
+        let wide = run_of(&[(min, 2), (c * min, 1)]);
+        for v in [min, top, c * min, low] {
+            assert_eq!(quick(&wide, v), None, "v = {v}");
         }
     }
 
@@ -837,6 +955,56 @@ mod tests {
                 for (start, seg) in &s.plan {
                     prop_assert!(*start >= prev_end, "runs overlap");
                     prev_end = seg.end;
+                }
+            }
+
+            /// Whenever the O(1) run verdict answers, it equals the band
+            /// walk. Populations sit in one band width `[min, c·min]` with
+            /// both ends (and the float just below `c·min`) drawn often,
+            /// plus an occasional outlier above it; candidates cluster at
+            /// `min`, `c·min`, `max/c` and their float neighbours.
+            #[test]
+            fn quick_verdict_agrees_with_the_band_walk(
+                seed in 0u64..5_000,
+                n in 1usize..10,
+                m in 1u32..16,
+            ) {
+                let mut rng = dagsched_core::Rng64::seed_from(seed);
+                let eps = [0.25, 0.5, 1.0, 2.0][rng.gen_range(4) as usize];
+                let params = AlgoParams::from_epsilon(eps).unwrap();
+                let (c, capacity) = (params.c(), params.b() * m as f64);
+                let min = [1e-3, 0.5, 1.0, 7.25][rng.gen_range(4) as usize];
+                let edge = c * min;
+                let mut pop = vec![(min, 1 + rng.gen_range(m as u64) as u32)];
+                for _ in 1..n {
+                    let d = match rng.gen_range(6) {
+                        0 => min,
+                        1 => edge,
+                        2 => edge.next_down(),
+                        3 => edge * (1.0 + rng.gen_f64()),
+                        _ => min + (edge - min) * rng.gen_f64(),
+                    };
+                    pop.push((d, 1 + rng.gen_range(m as u64) as u32));
+                }
+                let seg = run_of(&pop);
+                let max = seg.entries.last().unwrap().density;
+                let mut vs = vec![
+                    min / 2.0,
+                    rng.gen_f64() * 2.0 * edge,
+                ];
+                for x in [min, edge, max / c, max] {
+                    vs.extend([x, x.next_down(), x.next_up()]);
+                }
+                for v in vs {
+                    for allot in 1..=m.min(4) {
+                        if let Some(q) = quick_verdict(&seg, v, allot, c, capacity) {
+                            prop_assert_eq!(
+                                q,
+                                seg_fits(&seg, v, allot, c, capacity),
+                                "pop {:?} v {} allot {}", pop, v, allot
+                            );
+                        }
+                    }
                 }
             }
 

@@ -14,10 +14,14 @@
 //!   per slot.
 //! * [`DenseU32Map`] — a scratch `JobId → u32` map with O(1) set/get and
 //!   O(touched) [`clear`](DenseU32Map::clear), for per-call indices such as
-//!   ready counts and allocation-slot positions.
+//!   ready counts and allocation-slot positions;
+//! * [`AliveIndex`] — the alive set of a priority scheduler, ordered by a
+//!   key fixed at arrival with arrival sequence as the tie-break: O(log n)
+//!   insert and remove, in-order iteration.
 
 use dagsched_core::JobId;
 use dagsched_engine::ViewDelta;
+use std::collections::BTreeMap;
 
 /// Dense `JobId`-keyed storage (see module docs).
 #[derive(Debug, Clone)]
@@ -177,6 +181,87 @@ impl DenseU32Map {
     }
 }
 
+/// `x` as an integer whose signed order is [`f64::total_cmp`]'s order: the
+/// same bit transform `total_cmp` applies before its integer comparison.
+fn total_order_key(x: f64) -> i64 {
+    let bits = x.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
+/// Alive jobs ordered by `(key, seq)`: `key` is an `f64` fixed at arrival
+/// and compared under [`f64::total_cmp`], `seq` the insertion sequence.
+///
+/// Iteration yields exactly the order a stable sort by key of the
+/// insertion-ordered list would give, since among equal keys the earlier
+/// insertion has the smaller `seq`. Insert and remove are O(log n): the
+/// order lives in a [`BTreeMap`], and a dense `JobId → (key, seq)` side
+/// table turns removal into a lookup instead of a scan. Removing an absent
+/// id is a no-op. Ids are unique among live entries (the engine never
+/// announces an alive job twice); inserting a live id replaces its entry.
+#[derive(Debug, Clone)]
+pub struct AliveIndex<V> {
+    order: BTreeMap<(i64, u64), (JobId, V)>,
+    keys: JobSlab<(i64, u64)>,
+    seq: u64,
+}
+
+impl<V> Default for AliveIndex<V> {
+    fn default() -> Self {
+        AliveIndex::new()
+    }
+}
+
+impl<V> AliveIndex<V> {
+    /// An empty index.
+    pub fn new() -> AliveIndex<V> {
+        AliveIndex {
+            order: BTreeMap::new(),
+            keys: JobSlab::new(),
+            seq: 0,
+        }
+    }
+
+    /// The sequence number the next [`insert`](AliveIndex::insert) assigns
+    /// (insertions so far since construction or the last clear).
+    pub fn next_seq(&self) -> u64 {
+        self.seq
+    }
+
+    /// Add `id` with priority `key` and payload `value`, after every live
+    /// entry of an equal key.
+    pub fn insert(&mut self, id: JobId, key: f64, value: V) {
+        let k = (total_order_key(key), self.seq);
+        self.seq += 1;
+        if let Some(old) = self.keys.insert(id, k) {
+            self.order.remove(&old);
+        }
+        self.order.insert(k, (id, value));
+    }
+
+    /// Remove `id`, returning its payload; `None` (and no change) if absent.
+    pub fn remove(&mut self, id: JobId) -> Option<V> {
+        let k = self.keys.remove(id)?;
+        self.order.remove(&k).map(|(_, v)| v)
+    }
+
+    /// Live entries in `(key, seq)` order.
+    pub fn iter(&self) -> impl Iterator<Item = (JobId, &V)> + '_ {
+        self.order.values().map(|(id, v)| (*id, v))
+    }
+
+    /// Live ids in `(key, seq)` order.
+    pub fn ids(&self) -> impl Iterator<Item = JobId> + '_ {
+        self.order.values().map(|(id, _)| *id)
+    }
+
+    /// Drop every entry and restart the sequence at 0.
+    pub fn clear(&mut self) {
+        self.order.clear();
+        self.keys.clear();
+        self.seq = 0;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -263,5 +348,104 @@ mod tests {
             None,
             "same-step admit+expire nets to absent"
         );
+    }
+
+    #[test]
+    fn total_order_key_orders_like_total_cmp() {
+        let xs = [
+            f64::NEG_INFINITY,
+            -1.5,
+            -f64::MIN_POSITIVE,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            1.0,
+            1.0 + f64::EPSILON,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        for a in xs {
+            for b in xs {
+                assert_eq!(
+                    total_order_key(a).cmp(&total_order_key(b)),
+                    a.total_cmp(&b),
+                    "{a:?} vs {b:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn alive_index_orders_by_key_then_insertion() {
+        let mut ix: AliveIndex<u32> = AliveIndex::new();
+        ix.insert(JobId(7), 2.0, 70);
+        ix.insert(JobId(3), 1.0, 30);
+        ix.insert(JobId(5), 2.0, 50);
+        ix.insert(JobId(1), 0.0, 10);
+        ix.insert(JobId(2), -0.0, 20);
+        assert_eq!(ix.next_seq(), 5);
+        let ids: Vec<u32> = ix.ids().map(|id| id.0).collect();
+        assert_eq!(ids, vec![2, 1, 3, 7, 5], "-0.0 before 0.0, ties by seq");
+        assert_eq!(ix.remove(JobId(7)), Some(70));
+        assert_eq!(ix.remove(JobId(7)), None, "double remove is a no-op");
+        assert_eq!(ix.remove(JobId(99)), None, "absent id is a no-op");
+        let rest: Vec<(u32, u32)> = ix.iter().map(|(id, v)| (id.0, *v)).collect();
+        assert_eq!(rest, vec![(2, 20), (1, 10), (3, 30), (5, 50)]);
+        ix.clear();
+        assert_eq!(ix.ids().count(), 0);
+        assert_eq!(ix.next_seq(), 0, "clear restarts the sequence");
+    }
+
+    mod properties {
+        use super::*;
+        use dagsched_core::Rng64;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            /// The index iterates exactly like the insertion-ordered list
+            /// stable-sorted by key under `total_cmp` — what the sorted
+            /// `Vec` + `retain` it replaced maintained — across random
+            /// insert/remove interleavings with heavy key ties, both signed
+            /// zeros, re-inserted ids and removals of absent ids.
+            #[test]
+            fn alive_index_iterates_like_a_stable_sort(seed in 0u64..10_000, ops in 1usize..300) {
+                const KEYS: [f64; 7] = [-0.0, 0.0, 1.0, -1.0, 2.5, f64::INFINITY, 1e-300];
+                let mut rng = Rng64::seed_from(seed);
+                let mut ix: AliveIndex<u64> = AliveIndex::new();
+                // (key, seq, id) in insertion order.
+                let mut list: Vec<(f64, u64, JobId)> = Vec::new();
+                let mut ids_used = 0u32;
+                for _ in 0..ops {
+                    if list.is_empty() || rng.gen_range(3) < 2 {
+                        let key = KEYS[rng.gen_range(KEYS.len() as u64) as usize];
+                        // Mostly fresh ids; sometimes one removed earlier.
+                        let reuse = JobId(rng.gen_range(ids_used as u64 + 1) as u32);
+                        let id = if reuse.0 < ids_used && list.iter().all(|e| e.2 != reuse) {
+                            reuse
+                        } else {
+                            ids_used += 1;
+                            JobId(ids_used - 1)
+                        };
+                        let seq = ix.next_seq();
+                        ix.insert(id, key, seq);
+                        list.push((key, seq, id));
+                    } else {
+                        let id = JobId(rng.gen_range(ids_used as u64 + 2) as u32);
+                        let expect = list.iter().find(|e| e.2 == id).map(|e| e.1);
+                        list.retain(|e| e.2 != id);
+                        prop_assert_eq!(ix.remove(id), expect);
+                    }
+                    let mut sorted = list.clone();
+                    sorted.sort_by(|a, b| a.0.total_cmp(&b.0));
+                    let want: Vec<(JobId, u64)> = sorted.iter().map(|e| (e.2, e.1)).collect();
+                    let got: Vec<(JobId, u64)> = ix.iter().map(|(id, v)| (id, *v)).collect();
+                    prop_assert_eq!(got, want);
+                }
+            }
+        }
     }
 }

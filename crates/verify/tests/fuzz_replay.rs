@@ -5,7 +5,7 @@
 //! Brent bound, density-band burst ties, parked-majority delta churn,
 //! carry-over-sensitive chains, pick-sensitive forks) or a hostile input
 //! (a machine claiming four billion processors, u64-extreme work, arrival,
-//! profit bound and profit value).
+//! profit bound and profit value, one at a time and all in one file).
 //! None currently violates an oracle — the regression is that they stay
 //! green under all four heads (invariants, kernel-vs-scan,
 //! paused-vs-one-shot, delta-vs-rebuild) as the engine evolves, and that
@@ -35,6 +35,7 @@ const FIXTURES: &[&str] = &[
     "u64-arrival.txt",
     "u64-bound.txt",
     "u64-value.txt",
+    "u64-combined.txt",
 ];
 
 fn fixture(name: &str) -> String {
@@ -145,6 +146,15 @@ fn u64_extreme_fixtures_replay_clean() {
     ] {
         assert_replays_clean(name);
     }
+}
+
+/// Every u64 extreme in one file: after the first three jobs retire the
+/// machine idles until the last arrival at tick 2^64 − 1, which is at the
+/// horizon. The idle skip must end the run there instead of jumping to the
+/// horizon and popping its boundary as a due event.
+#[test]
+fn u64_combined_fixture_replays_clean() {
+    assert_replays_clean("u64-combined.txt");
 }
 
 /// Every fixture also stays green with the general-profit scheduler as the

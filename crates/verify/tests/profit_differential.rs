@@ -13,9 +13,10 @@
 //! legitimately differs is `steps_executed` — that *is* the speedup — so
 //! this suite never compares it.
 //!
-//! Corpus: the standard seeds, an overload mix, a parked-majority
-//! instance (mostly rejected jobs → the plan-gap bulk-skip carries the
-//! run), the fuzzer's collision family, a multi-thread sweep, and
+//! Corpus: the standard seeds, an overload mix, two parked-majority
+//! instances (mostly rejected jobs → the plan-gap bulk-skip carries the
+//! run; the two-step-profit one also drives the admission search's
+//! run-verdict rejections), the fuzzer's collision family, a multi-thread sweep, and
 //! proptest-driven paused `run_until` runs at random horizons.
 
 use dagsched_core::{JobId, Speed, Time};
@@ -197,6 +198,46 @@ fn rewrites_match_oracles_with_a_parked_majority() {
         .collect();
     let inst = Instance::new(4, jobs).expect("valid parked instance");
     check_all(&inst, 4, "parked majority");
+}
+
+/// A parked majority with a two-step-profit background (the benchmark's
+/// parked-profit shape): 200 background jobs whose profit halves at tick
+/// 2,500 and ends at 5,000, plus a wave of 100 short chains. The background
+/// overflows the machine many times over, so S-profit's smallest-valid-
+/// deadline search walks long runs of full slots and rejects most of it —
+/// the run-verdict path — against the frozen per-tick oracle.
+#[test]
+fn rewrites_match_oracles_with_a_parked_two_step_profit_majority() {
+    use dagsched_core::Rng64;
+    use dagsched_dag::gen;
+    let (n, horizon) = (200usize, 5_000u64);
+    let mut rng = Rng64::seed_from(7).child(0x9F0F);
+    let background = StepProfitFn::steps(vec![(Time(horizon / 2), 4), (Time(horizon), 2)], 0)
+        .expect("valid background profit");
+    let wave =
+        StepProfitFn::steps(vec![(Time(40), 3), (Time(90), 1)], 0).expect("valid wave profit");
+    let mut jobs: Vec<JobSpec> = (0..n)
+        .map(|i| {
+            JobSpec::new(
+                JobId(i as u32),
+                Time(0),
+                gen::single(4_500 + rng.gen_range(1_001)).into_shared(),
+                background.clone(),
+            )
+        })
+        .collect();
+    let mut t = 0u64;
+    for i in 0..n / 2 {
+        jobs.push(JobSpec::new(
+            JobId((n + i) as u32),
+            Time(t),
+            gen::chain(3, 2).into_shared(),
+            wave.clone(),
+        ));
+        t += 1 + rng.gen_range(3);
+    }
+    let inst = Instance::new(4, jobs).expect("valid parked profit instance");
+    check_all(&inst, 4, "parked two-step profit");
 }
 
 /// The standard corpus again through the multi-thread harness: each

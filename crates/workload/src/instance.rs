@@ -89,7 +89,10 @@ impl Instance {
     pub fn stats(&self) -> InstanceStats {
         let n_jobs = self.jobs.len();
         let total_work: Work = self.jobs.iter().map(|j| j.work()).sum();
-        let total_profit: u64 = self.jobs.iter().map(|j| j.max_profit()).sum();
+        let total_profit = self
+            .jobs
+            .iter()
+            .fold(0u64, |acc, j| acc.saturating_add(j.max_profit()));
         let first_arrival = self.jobs.first().map(|j| j.arrival).unwrap_or(Time::ZERO);
         let horizon = self
             .jobs
