@@ -3,7 +3,7 @@
 //! `dagsched-bench` (the dedicated binary) is the perf-regression exporter;
 //! this subcommand exists so the *schema* of its JSON report is exercised
 //! on every CI run of the main CLI. It runs the whole harness at tiny
-//! sizes ([`run_smoke`](crate::hotpath::run_smoke)), self-validates that
+//! sizes ([`run_smoke`]), self-validates that
 //! every key the regression gates read is present and numeric, and prints
 //! either a short human summary or (`--json`) the raw report. Measured
 //! ratios at these sizes are noise — nothing here is a perf claim or a

@@ -10,19 +10,19 @@
 //!   retained O(|Q|)-per-query sweep
 //!   ([`reference::ReferenceBands`](dagsched_sched::bands::reference)),
 //!   optimized is the incremental treap
-//!   ([`DensityBands`](dagsched_sched::bands::DensityBands)).
+//!   ([`DensityBands`]).
 //! * **backfill** — the work-conserving allocate of scheduler S on a hot
 //!   state (hundreds of admitted and parked jobs, every one with spare
 //!   ready nodes). Legacy is the frozen
-//!   [`OracleSchedulerS`](dagsched_sched::oracle::OracleSchedulerS) (per
+//!   [`OracleSchedulerS`] (per
 //!   call: two `HashMap`s plus an O(|out|) rescan per grant), optimized is
-//!   the current [`SchedulerS`](dagsched_sched::SchedulerS) with its dense
+//!   the current [`SchedulerS`] with its dense
 //!   scratch maps and slot index.
 //! * **arrival storm** — many small jobs churning through per-job runtime
 //!   state. Legacy is the frozen pre-CSR path
 //!   ([`dagsched_dag::reference`]): nested `Vec<Vec<NodeId>>` adjacency, a
 //!   fresh-allocated unfold state plus busy buffer per arrival. Optimized
-//!   is the CSR spec with one pooled [`UnfoldState`](dagsched_dag::UnfoldState)
+//!   is the CSR spec with one pooled [`UnfoldState`]
 //!   recycled through `reset_from`, as the engine lifecycle pool does.
 //!
 //! * **event-kernel** — full engine runs on event-dense workloads, timed
@@ -52,7 +52,7 @@
 //! * **profit** — full engine runs of the general-profit scheduler, timed
 //!   as the PR-10 rewrite ([`SchedulerSProfit`]: incremental segment plan +
 //!   bounded-stability fast-forward + delta cached replay) vs its frozen
-//!   pre-rewrite twin ([`OracleSProfit`](dagsched_sched::oracle::OracleSProfit):
+//!   pre-rewrite twin ([`OracleSProfit`]:
 //!   per-tick BTreeMap rescan, no stability claim, so the engine steps it
 //!   every tick). The gated `parked/…` cases are the slot-plan regime: a
 //!   majority of long two-step-profit jobs parks unallocated while a brief

@@ -1,6 +1,6 @@
 //! Frozen pre-CSR twins of the DAG runtime layer (the PR 5 "legacy" path).
 //!
-//! Before the CSR/pooling rework, a [`DagJobSpec`](crate::DagJobSpec) kept
+//! Before the CSR/pooling rework, a [`DagJobSpec`] kept
 //! its adjacency as one `Vec<NodeId>` **per node**, `sources()` re-scanned
 //! and allocated on every call, and the engine built a brand-new
 //! [`UnfoldState`](crate::UnfoldState) (five heap allocations) plus a

@@ -32,7 +32,7 @@ fixtures (fuzz-min-<i>.txt).
 
 options:
   --seed N       master seed (default 0xDA65EED)
-  --execs N      exec budget (default 1000)
+  --execs N      exec budget, at least 1 (default 1000)
   --json         deterministic JSON report on stdout, timing on stderr
   --replay T     re-judge a fixture file, or re-run a master seed
 ";
@@ -75,8 +75,10 @@ pub fn parse(args: &[String]) -> Result<FuzzCmd, String> {
                 let n: u64 = parse_u64(v).ok_or_else(|| format!("{flag}: bad number {v:?}"))?;
                 if flag == "--seed" {
                     seed = n;
+                } else if n == 0 {
+                    return Err("--execs expects a positive integer".into());
                 } else {
-                    execs = n.max(1);
+                    execs = n;
                 }
             }
             "--replay" => {
@@ -290,6 +292,15 @@ mod tests {
         );
         assert_eq!(parse(&s(&["help"])), Ok(FuzzCmd::Help));
         assert!(parse(&s(&["--seed"])).is_err());
+        assert!(parse(&s(&["--execs", "0"])).is_err());
+        assert_eq!(
+            parse(&s(&["--execs", "1"])),
+            Ok(FuzzCmd::Run {
+                seed: FuzzConfig::default().master_seed,
+                execs: 1,
+                json: false
+            })
+        );
         assert!(parse(&s(&["--what"])).is_err());
     }
 

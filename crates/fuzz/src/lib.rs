@@ -11,7 +11,7 @@
 //! searches for them deliberately:
 //!
 //! * [`ir`] — a mutable, always-repairable instance representation;
-//! * [`mutate`] — structural mutators biased toward the adversarial
+//! * [`mutate`](mod@mutate) — structural mutators biased toward the adversarial
 //!   families;
 //! * [`coverage`] — cheap execution features (bands touched, admission
 //!   reasons fired, event-collision masks, expiry-batch and window-width
@@ -19,7 +19,7 @@
 //! * [`oracle`] — the four heads: invariant suite, kernel-vs-scan byte
 //!   equality, paused-vs-one-shot differential, delta-vs-rebuild handoff
 //!   differential;
-//! * [`minimize`] — bounded delta-debugging of failing instances;
+//! * [`minimize`](mod@minimize) — bounded delta-debugging of failing instances;
 //! * [`run`] — the deterministic fuzz loop (fixed master seed ⇒
 //!   byte-identical corpus trajectory);
 //! * [`cli`] — the `dagsched fuzz` / `dagsched fuzz --replay` subcommand;

@@ -9,8 +9,9 @@
 //!    suite is built lenient so the loop collects violations rather than
 //!    unwinding; under the `verify-strict` feature the semantics are
 //!    identical, only the failure transport differs. When a differential
-//!    head is enabled, this run also records the JSONL event stream, and
-//!    it is the reference every differential head compares against.
+//!    head is enabled, this run also records the event stream
+//!    ([`EventLog`]), and it is the reference every differential head
+//!    compares against.
 //! 2. **Kernel vs scan** — the run repeated under the window mode the base
 //!    config does not use ([`WindowMode::EventKernel`] or
 //!    [`WindowMode::ReferenceScan`]) must produce the same outcome, the
@@ -26,6 +27,11 @@
 //!
 //! A simulation error from any head is itself a failure (`sim-error`) —
 //! that is how scheduler mutants that emit invalid allocations are caught.
+//!
+//! The differential heads compare recorded streams directly: two
+//! [`EventLog`]s are equal exactly when their JSONL renderings are, so a
+//! passing exec formats no text at all. Only a mismatch renders both logs,
+//! to name the first diverging line.
 //!
 //! The coverage features of head 1's run are returned alongside the
 //! verdict, so one exec yields both signals with at most four simulations
@@ -171,8 +177,8 @@ fn first_diff(label: &str, a: &str, b: &str) -> String {
     )
 }
 
-/// One simulation's result and its JSONL event stream.
-type Run = (SimResult, String);
+/// One simulation's result and its recorded event stream.
+type Run = (SimResult, EventLog);
 
 fn run_under(
     inst: &Instance,
@@ -183,7 +189,7 @@ fn run_under(
     let mut log = EventLog::new();
     let mut sched = subject.instantiate(inst.m());
     match simulate_observed(inst, sched.as_mut(), cfg, &mut log) {
-        Ok(r) => Ok((r, log.to_jsonl())),
+        Ok(r) => Ok((r, log)),
         Err(e) => Err(OracleFailure {
             oracle: "sim-error",
             detail: format!("{label}: {e}"),
@@ -192,7 +198,8 @@ fn run_under(
 }
 
 /// A differential head's verdict on two named runs: outcome and step count
-/// first, then the JSONL stream.
+/// first, then the recorded event streams. Streams are compared as recorded
+/// (equal iff their JSONL is) and rendered only to describe a mismatch.
 fn compare(
     oracle: &'static str,
     (an, a): (&str, &Run),
@@ -209,7 +216,7 @@ fn compare(
     }
     (a.1 != b.1).then(|| OracleFailure {
         oracle,
-        detail: first_diff(&format!("{an} != {bn}"), &a.1, &b.1),
+        detail: first_diff(&format!("{an} != {bn}"), &a.1.to_jsonl(), &b.1.to_jsonl()),
     })
 }
 
@@ -312,7 +319,7 @@ pub fn run_exec_with(
                     detail: v.to_string(),
                 })
             } else {
-                Ok((r, log.to_jsonl()))
+                Ok((r, log))
             }
         }
     };
@@ -399,7 +406,7 @@ fn paused_vs_oneshot(
     };
     compare(
         "paused-vs-oneshot",
-        ("paused", &(r, log.to_jsonl())),
+        ("paused", &(r, log)),
         ("one-shot", one_shot),
     )
 }
@@ -428,4 +435,58 @@ fn delta_vs_rebuild(
         HandoffMode::Delta => (&other, one_shot),
     };
     compare("delta-vs-rebuild", ("delta", delta), ("rebuild", rebuild))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dagsched_core::{JobId, Speed};
+
+    /// A log of `start`, one window whose allocation is `alloc`, and
+    /// (unless `truncated`) `end`.
+    fn hand_log(alloc: u32, truncated: bool) -> EventLog {
+        let mut log = EventLog::new();
+        log.on_start(2, Speed::ONE, Time(9));
+        log.on_window(
+            Time(0),
+            3,
+            &[(JobId(0), 2)],
+            &[(JobId(0), alloc)],
+            &[(JobId(0), 3 * u64::from(alloc))],
+        );
+        if !truncated {
+            log.on_end(Time(3));
+        }
+        log
+    }
+
+    #[test]
+    fn mismatch_detail_names_the_first_diverging_line() {
+        let inst = crate::corpus::seed_corpus()[0].to_instance().unwrap();
+        let subject = Subject::scheduler_s();
+        let (r, log) = run_under(&inst, &subject, &SimConfig::default(), "base").unwrap();
+        let same = (r.clone(), log);
+        assert_eq!(compare("kernel-vs-scan", ("a", &same), ("b", &same)), None);
+
+        let a = (r.clone(), hand_log(1, false));
+        let b = (r.clone(), hand_log(2, false));
+        let f = compare("kernel-vs-scan", ("kernel", &a), ("scan", &b)).expect("logs differ");
+        assert_eq!(f.oracle, "kernel-vs-scan");
+        assert_eq!(
+            f.detail,
+            concat!(
+                "kernel != scan: line 1: ",
+                r#"{"ev":"window","t":0,"ticks":3,"jobs":[[0,2]],"alloc":[[0,1]],"progress":[[0,3]]}"#,
+                " != ",
+                r#"{"ev":"window","t":0,"ticks":3,"jobs":[[0,2]],"alloc":[[0,2]],"progress":[[0,6]]}"#,
+            )
+        );
+
+        let cut = (r, hand_log(1, true));
+        let f = compare("delta-vs-rebuild", ("delta", &a), ("rebuild", &cut)).expect("prefix");
+        assert_eq!(
+            f.detail,
+            "delta != rebuild: streams are a prefix of each other (3 vs 1 lines)"
+        );
+    }
 }

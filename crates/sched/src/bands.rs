@@ -97,7 +97,7 @@ impl DensityBands {
 
     /// Return to the freshly-constructed state (same `c` and capacity),
     /// keeping allocated storage. The priority stream restarts from
-    /// [`PRIO_SEED`], so subsequent inserts replay exactly what a new
+    /// `PRIO_SEED`, so subsequent inserts replay exactly what a new
     /// structure would build.
     pub fn clear(&mut self) {
         self.nodes.clear();

@@ -15,7 +15,7 @@
 //! Jobs are *started* (admitted to queue `Q`) only if they are `δ`-good
 //! (`D_i ≥ (1+2δ)x_i`) and every density band `[v_j, c·v_j)` stays within
 //! `b·m` processors (condition (2), maintained by
-//! [`DensityBands`](crate::bands::DensityBands) structure). Everything else waits in
+//! [`DensityBands`] structure). Everything else waits in
 //! queue `P`; at each job completion, `δ`-fresh jobs from `P` that now pass
 //! the band check are started. Execution is greedy highest-density-first,
 //! granting each scheduled job its full allotment.

@@ -19,13 +19,13 @@
 //! ## The segment slot plan
 //!
 //! The plan is stored as maximal runs of consecutive ticks sharing one
-//! population — a [`BTreeMap`] from run start to [`Segment`], each holding
+//! population — a [`BTreeMap`] from run start to `Segment`, each holding
 //! its population sorted by density with a prefix-sum table of allotments.
 //! Within a run every tick has the same population, so the admission scan
 //! checks each run **once** instead of rebuilding a population `Vec` per
 //! tick. It walks the plan with one forward cursor; a run whose
 //! aggregates (total allotment, density range) decide the verdict is
-//! answered in O(1) (see [`quick_verdict`]), the rest get the incremental
+//! answered in O(1) (see `quick_verdict`), the rest get the incremental
 //! band check (per-band loads by prefix-sum subtraction, `O(log)` per
 //! band). The per-tick allocation is *piecewise constant*: it can only
 //! change at a run boundary or a job event. That is exactly the engine's

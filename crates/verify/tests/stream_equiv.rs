@@ -146,7 +146,8 @@ fn logged_stream_is_well_formed() {
     let mut log = EventLog::new();
     let mut s = SchedulerS::with_epsilon(m, 1.0);
     simulate_observed(&inst, &mut s, &SimConfig::default(), &mut log).expect("runs");
-    let lines = log.lines();
+    let text = log.to_jsonl();
+    let lines: Vec<&str> = text.lines().collect();
     assert!(lines.first().expect("nonempty").contains(r#""ev":"start""#));
     assert!(lines.last().expect("nonempty").contains(r#""ev":"end""#));
     let count = |kind: &str| {
@@ -158,7 +159,7 @@ fn logged_stream_is_well_formed() {
     assert_eq!(count("start"), 1);
     assert_eq!(count("end"), 1);
     assert_eq!(count("arrive"), inst.len());
-    for l in lines {
+    for l in &lines {
         assert!(
             l.starts_with('{') && l.ends_with('}'),
             "not a JSON object: {l}"
