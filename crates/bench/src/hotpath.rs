@@ -636,18 +636,14 @@ fn legacy_storm(dags: &[ReferenceDag], arrivals: usize) -> u64 {
     consumed
 }
 
-/// The pooled CSR path: one `UnfoldState` and one busy buffer recycled
-/// through `reset_from` across every arrival, as the lifecycle pool does.
+/// The pooled CSR path: one `UnfoldState` — node records with their claim
+/// marks, the engine's whole per-job admission state — recycled through
+/// `reset_from` across every arrival, as the lifecycle pool does.
 fn pooled_storm(specs: &[Arc<DagJobSpec>], arrivals: usize) -> u64 {
     let mut consumed = 0u64;
     let mut st = UnfoldState::new(specs[0].clone(), 1);
-    let mut busy: Vec<bool> = Vec::new();
     for i in 0..arrivals {
-        let spec = &specs[i % specs.len()];
-        st.reset_from(spec.clone(), 1);
-        busy.clear();
-        busy.resize(spec.num_nodes(), false);
-        black_box(&busy);
+        st.reset_from(specs[i % specs.len()].clone(), 1);
         loop {
             let Some(n) = st.ready_iter().next() else {
                 break;

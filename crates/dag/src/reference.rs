@@ -3,8 +3,8 @@
 //! Before the CSR/pooling rework, a [`DagJobSpec`] kept
 //! its adjacency as one `Vec<NodeId>` **per node**, `sources()` re-scanned
 //! and allocated on every call, and the engine built a brand-new
-//! [`UnfoldState`](crate::UnfoldState) (five heap allocations) plus a
-//! `busy`/`dirty` scratch pair for **every arriving job**. This module
+//! [`UnfoldState`](crate::UnfoldState) (then five heap allocations) plus
+//! a `busy`/`dirty` scratch pair for **every arriving job**. This module
 //! freezes that memory behaviour so the `dagsched-bench` arrival-storm
 //! group can time the old path against the pooled CSR path *in the same
 //! process*, and so differential tests can hold the rewrite to

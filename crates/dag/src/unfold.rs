@@ -7,6 +7,11 @@
 //! (remaining work/span) that *clairvoyant* components — the adversarial
 //! node picker and the offline bounds — are allowed to use.
 //!
+//! A job's runtime state is one vector of 24-byte node records, so a cold
+//! admission allocates once. Claim marks, the engine's per-tick record of
+//! which ready nodes a processor took, live there too and never move the
+//! ready order or any remaining work.
+//!
 //! Work here is in **engine-scaled units**: the engine multiplies node works
 //! by [`Speed::work_scale`](dagsched_core::Speed::work_scale) so rational
 //! speeds stay exact; [`UnfoldState::new`] applies that scale.
@@ -15,122 +20,66 @@ use crate::spec::DagJobSpec;
 use dagsched_core::{NodeId, Work};
 use std::sync::Arc;
 
-const NIL: u32 = u32::MAX;
+/// Link value of a node outside a list.
+const OUT: u32 = u32::MAX;
 
-/// An intrusive doubly-linked list over node ids, preserving insertion (FIFO)
-/// order with O(1) insert/remove — the ready set can be huge (a parallel
-/// block has `W − L` simultaneously-ready nodes) and nodes leave it from
-/// arbitrary positions as they complete.
-#[derive(Debug, Clone)]
-struct ReadyList {
-    next: Vec<u32>,
-    prev: Vec<u32>,
-    head: u32,
-    tail: u32,
-    len: usize,
-    /// Membership flags (a node enters at most once, but guard misuse).
-    member: Vec<bool>,
+/// One node's runtime state. The FIFO ready set is a circular list
+/// through `next`/`prev`, closed by a sentinel record after the last node
+/// (branch-free O(1) insert/remove from any position); this tick's claims
+/// are a list through `claim` ending at the sentinel's index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct NodeRec {
+    /// Remaining scaled work.
+    rem: Work,
+    /// Unfinished-predecessor count.
+    waiting: u32,
+    /// Ready-list links; `next` is `OUT` exactly when the node is not ready.
+    next: u32,
+    prev: u32,
+    /// Claim-list link; `OUT` exactly when the node is not claimed.
+    claim: u32,
 }
 
-impl ReadyList {
-    fn new(capacity: usize) -> ReadyList {
-        ReadyList {
-            next: vec![NIL; capacity],
-            prev: vec![NIL; capacity],
-            head: NIL,
-            tail: NIL,
-            len: 0,
-            member: vec![false; capacity],
-        }
+impl NodeRec {
+    fn ready(&self) -> bool {
+        self.next != OUT
     }
 
-    /// Restore the empty state for a (possibly different) node count,
-    /// reusing the link/membership vectors. `clear` + `resize` never
-    /// shrinks capacity, so a pooled list reaches its high-water mark once
-    /// and then resets allocation-free.
-    fn reset(&mut self, capacity: usize) {
-        self.next.clear();
-        self.next.resize(capacity, NIL);
-        self.prev.clear();
-        self.prev.resize(capacity, NIL);
-        self.member.clear();
-        self.member.resize(capacity, false);
-        self.head = NIL;
-        self.tail = NIL;
-        self.len = 0;
-    }
-
-    fn push_back(&mut self, v: NodeId) {
-        let i = v.0;
-        debug_assert!(!self.member[i as usize], "node already in ready list");
-        self.member[i as usize] = true;
-        self.prev[i as usize] = self.tail;
-        self.next[i as usize] = NIL;
-        if self.tail == NIL {
-            self.head = i;
-        } else {
-            self.next[self.tail as usize] = i;
-        }
-        self.tail = i;
-        self.len += 1;
-    }
-
-    fn remove(&mut self, v: NodeId) {
-        let i = v.0;
-        debug_assert!(self.member[i as usize], "node not in ready list");
-        self.member[i as usize] = false;
-        let (p, n) = (self.prev[i as usize], self.next[i as usize]);
-        if p == NIL {
-            self.head = n;
-        } else {
-            self.next[p as usize] = n;
-        }
-        if n == NIL {
-            self.tail = p;
-        } else {
-            self.prev[n as usize] = p;
-        }
-        self.len -= 1;
-    }
-
-    fn contains(&self, v: NodeId) -> bool {
-        self.member[v.index()]
-    }
-
-    fn iter(&self) -> ReadyIter<'_> {
-        ReadyIter {
-            list: self,
-            cur: self.head,
-        }
+    fn claimed(&self) -> bool {
+        self.claim != OUT
     }
 }
 
-struct ReadyIter<'a> {
-    list: &'a ReadyList,
-    cur: u32,
+const _: () = assert!(std::mem::size_of::<NodeRec>() == 24);
+
+/// Append node `i` at the back of the ready list.
+fn link_back(nodes: &mut [NodeRec], i: u32) {
+    let sentinel = nodes.len() - 1;
+    let tail = nodes[sentinel].prev;
+    let r = &mut nodes[i as usize];
+    debug_assert!(!r.ready(), "node already in ready list");
+    (r.prev, r.next) = (tail, sentinel as u32);
+    nodes[tail as usize].next = i;
+    nodes[sentinel].prev = i;
 }
 
-impl Iterator for ReadyIter<'_> {
-    type Item = NodeId;
-    fn next(&mut self) -> Option<NodeId> {
-        if self.cur == NIL {
-            return None;
-        }
-        let v = NodeId(self.cur);
-        self.cur = self.list.next[self.cur as usize];
-        Some(v)
-    }
+/// Remove node `i` from the ready list.
+fn unlink(nodes: &mut [NodeRec], i: u32) {
+    let r = &mut nodes[i as usize];
+    let (p, n) = (r.prev, std::mem::replace(&mut r.next, OUT));
+    nodes[p as usize].next = n;
+    nodes[n as usize].prev = p;
 }
 
 /// Mutable execution state of one DAG job.
 #[derive(Debug, Clone)]
 pub struct UnfoldState {
     spec: Arc<DagJobSpec>,
-    /// Remaining scaled work per node.
-    remaining: Vec<Work>,
-    /// Unfinished-predecessor counts.
-    waiting_preds: Vec<u32>,
-    ready: ReadyList,
+    /// One record per node, then the ready list's sentinel.
+    nodes: Vec<NodeRec>,
+    ready_len: usize,
+    /// Head of this tick's claim list (the sentinel's index when empty).
+    claim_head: u32,
     completed_nodes: usize,
     /// Total remaining scaled work across all nodes.
     remaining_total: Work,
@@ -142,13 +91,13 @@ impl UnfoldState {
     /// (the engine passes `speed.work_scale()`; use 1 for unit speed).
     ///
     /// # Panics
-    /// If any scaled work overflows `u64`.
+    /// If the scaled total work overflows `u64`.
     pub fn new(spec: Arc<DagJobSpec>, scale: u64) -> UnfoldState {
         let mut st = UnfoldState {
             spec: spec.clone(),
-            remaining: Vec::new(),
-            waiting_preds: Vec::new(),
-            ready: ReadyList::new(0),
+            nodes: Vec::new(),
+            ready_len: 0,
+            claim_head: 0,
             completed_nodes: 0,
             remaining_total: Work::ZERO,
             scale: 1,
@@ -158,36 +107,45 @@ impl UnfoldState {
     }
 
     /// Reinitialize this state to execute `spec` at `scale`, exactly as
-    /// [`new`](Self::new) would — but reusing the `remaining`,
-    /// `waiting_preds` and ready-list vectors. The engine's job pool calls
-    /// this on recycled slots so arrival storms are allocation-free once
-    /// every buffer has reached its high-water node count.
+    /// [`new`](Self::new) would — but reusing the node-record vector. The
+    /// engine's job pool calls this on recycled slots so arrival storms are
+    /// allocation-free once the vector has reached its high-water node
+    /// count.
     ///
     /// Observational identity with a fresh state is pinned by
     /// `tests/pooled_reset.rs`; determinism is unaffected because every
     /// observable field (per-node remaining work, waiting-predecessor
     /// counts, the FIFO ready order seeded from `spec.sources()` in id
-    /// order, counters) is overwritten, never carried over.
+    /// order, claim marks, counters) is overwritten, never carried over.
     ///
     /// # Panics
-    /// If any scaled work overflows `u64`.
+    /// If the scaled total work (hence any node's) overflows `u64`.
     pub fn reset_from(&mut self, spec: Arc<DagJobSpec>, scale: u64) {
         assert!(scale >= 1, "scale must be at least 1");
+        self.remaining_total = spec
+            .total_work()
+            .checked_scale(scale)
+            .expect("scaled work overflows u64");
         let n = spec.num_nodes();
-        self.remaining.clear();
-        self.remaining.extend(
-            spec.node_works()
-                .iter()
-                .map(|w| w.checked_scale(scale).expect("scaled work overflows u64")),
-        );
-        self.remaining_total = Work(self.remaining.iter().map(|w| w.units()).sum());
-        self.waiting_preds.clear();
-        self.waiting_preds
-            .extend((0..n as u32).map(|i| spec.pred_count(NodeId(i))));
-        self.ready.reset(n);
+        let rec = |rem, waiting, link| NodeRec {
+            rem,
+            waiting,
+            next: link,
+            prev: link,
+            claim: OUT,
+        };
+        self.nodes.clear();
+        self.nodes.reserve(n + 1);
+        self.nodes.extend((0..n as u32).map(|i| {
+            let w = spec.node_work(NodeId(i)).units() * scale;
+            rec(Work(w), spec.pred_count(NodeId(i)), OUT)
+        }));
+        self.nodes.push(rec(Work::ZERO, 0, n as u32));
         for &s in spec.sources() {
-            self.ready.push_back(s);
+            link_back(&mut self.nodes, s.0);
         }
+        self.ready_len = spec.sources().len();
+        self.claim_head = n as u32;
         self.completed_nodes = 0;
         self.scale = scale;
         self.spec = spec;
@@ -208,17 +166,38 @@ impl UnfoldState {
     /// Number of currently ready (executable, unfinished) nodes.
     #[inline]
     pub fn ready_count(&self) -> usize {
-        self.ready.len
+        self.ready_len
     }
 
     /// Iterate ready nodes in FIFO (readiness) order.
     pub fn ready_iter(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.ready.iter()
+        self.walk_ready(false)
+    }
+
+    /// Ready nodes not claimed this tick, in FIFO order — the candidates a
+    /// node-pick policy chooses from.
+    pub fn unclaimed_iter(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.walk_ready(true)
+    }
+
+    fn walk_ready(&self, skip_claimed: bool) -> impl Iterator<Item = NodeId> + '_ {
+        let sentinel = self.nodes.len() - 1;
+        let mut cur = self.nodes[sentinel].next;
+        std::iter::from_fn(move || {
+            while cur as usize != sentinel {
+                let (v, r) = (NodeId(cur), &self.nodes[cur as usize]);
+                cur = r.next;
+                if !(skip_claimed && r.claimed()) {
+                    return Some(v);
+                }
+            }
+            None
+        })
     }
 
     /// First `k` ready nodes in FIFO order (fewer if not that many).
     pub fn ready_prefix(&self, k: usize) -> Vec<NodeId> {
-        self.ready.iter().take(k).collect()
+        self.ready_iter().take(k).collect()
     }
 
     /// Buffer-reusing variant of [`ready_prefix`](Self::ready_prefix):
@@ -227,19 +206,55 @@ impl UnfoldState {
     /// buffer has grown to its high-water mark.
     pub fn ready_prefix_into(&self, k: usize, out: &mut Vec<NodeId>) {
         out.clear();
-        out.extend(self.ready.iter().take(k));
+        out.extend(self.ready_iter().take(k));
     }
 
     /// Is the node currently ready?
     #[inline]
     pub fn is_ready(&self, node: NodeId) -> bool {
-        self.ready.contains(node)
+        self.nodes[node.index()].ready()
+    }
+
+    /// Is the node claimed by a processor this tick?
+    #[inline]
+    pub fn is_claimed(&self, node: NodeId) -> bool {
+        self.nodes[node.index()].claimed()
+    }
+
+    /// Claim a ready, unclaimed node for the current tick, so no other
+    /// processor picks it until [`release_claims`](Self::release_claims).
+    pub fn claim(&mut self, node: NodeId) {
+        let r = &mut self.nodes[node.index()];
+        debug_assert!(r.ready() && !r.claimed(), "claim() on node {node}");
+        r.claim = std::mem::replace(&mut self.claim_head, node.0);
+    }
+
+    /// Claim every ready, unclaimed successor of `node` (the nodes its
+    /// completion just unlocked), calling `each` on them in successor order.
+    pub fn claim_ready_successors(&mut self, node: NodeId, mut each: impl FnMut(NodeId)) {
+        for &s in self.spec.successors(node) {
+            let r = &mut self.nodes[s.index()];
+            if r.ready() && !r.claimed() {
+                r.claim = std::mem::replace(&mut self.claim_head, s.0);
+                each(s);
+            }
+        }
+    }
+
+    /// Release every node claimed this tick.
+    #[inline]
+    pub fn release_claims(&mut self) {
+        let end = self.nodes.len() as u32 - 1;
+        while self.claim_head != end {
+            let r = &mut self.nodes[self.claim_head as usize];
+            self.claim_head = std::mem::replace(&mut r.claim, OUT);
+        }
     }
 
     /// Remaining scaled work of one node.
     #[inline]
     pub fn node_remaining(&self, node: NodeId) -> Work {
-        self.remaining[node.index()]
+        self.nodes[node.index()].rem
     }
 
     /// Total remaining scaled work of the job.
@@ -270,27 +285,26 @@ impl UnfoldState {
     /// If `node` is not ready (engine bug: scheduling a non-ready or
     /// finished node would violate the model).
     pub fn advance(&mut self, node: NodeId, budget: u64) -> (u64, bool) {
-        assert!(
-            self.ready.contains(node),
-            "advance() on non-ready node {node}"
-        );
-        let consumed = self.remaining[node.index()].deplete(budget);
+        let r = &mut self.nodes[node.index()];
+        assert!(r.ready(), "advance() on non-ready node {node}");
+        let consumed = r.rem.deplete(budget);
         self.remaining_total -= Work(consumed);
-        if self.remaining[node.index()].is_zero() {
-            self.ready.remove(node);
-            self.completed_nodes += 1;
-            for &s in self.spec.successors(node) {
-                let w = &mut self.waiting_preds[s.index()];
-                debug_assert!(*w > 0);
-                *w -= 1;
-                if *w == 0 {
-                    self.ready.push_back(s);
-                }
-            }
-            (consumed, true)
-        } else {
-            (consumed, false)
+        if !r.rem.is_zero() {
+            return (consumed, false);
         }
+        unlink(&mut self.nodes, node.0);
+        self.ready_len -= 1;
+        self.completed_nodes += 1;
+        for &s in self.spec.successors(node) {
+            let w = &mut self.nodes[s.index()].waiting;
+            debug_assert!(*w > 0);
+            *w -= 1;
+            if *w == 0 {
+                link_back(&mut self.nodes, s.0);
+                self.ready_len += 1;
+            }
+        }
+        (consumed, true)
     }
 
     /// Execute `budget` scaled work units of a **ready** node that is known
@@ -307,18 +321,15 @@ impl UnfoldState {
     /// (completions must go through [`advance`](Self::advance) so successors
     /// unlock and the ready list stays consistent).
     pub fn advance_bulk(&mut self, node: NodeId, budget: u64) {
-        assert!(
-            self.ready.contains(node),
-            "advance_bulk() on non-ready node {node}"
-        );
-        let rem = self.remaining[node.index()].units();
+        let r = &mut self.nodes[node.index()];
+        assert!(r.ready(), "advance_bulk() on non-ready node {node}");
+        let rem = r.rem.units();
         assert!(
             budget < rem,
             "advance_bulk() budget {budget} would complete node {node} (remaining {rem})"
         );
-        let consumed = self.remaining[node.index()].deplete(budget);
-        debug_assert_eq!(consumed, budget);
-        self.remaining_total -= Work(consumed);
+        r.rem = Work(rem - budget);
+        self.remaining_total -= Work(budget);
     }
 
     /// Remaining span: the work-weighted longest path over *unfinished* work,
@@ -335,7 +346,7 @@ impl UnfoldState {
                 .iter()
                 .map(|s| best[s.index()])
                 .max();
-            let h = self.remaining[v.index()].units() + tail.unwrap_or(0);
+            let h = self.nodes[v.index()].rem.units() + tail.unwrap_or(0);
             best[v.index()] = h;
             span = span.max(h);
         }
@@ -541,12 +552,13 @@ mod tests {
         let mut pooled = UnfoldState::new(diamond(), 3);
         pooled.advance(NodeId(0), 3);
         pooled.advance(NodeId(1), 5);
+        pooled.claim(NodeId(2));
         let small = chain(&[4, 2]);
-        let remaining_ptr = pooled.remaining.as_ptr();
+        let ptr = pooled.nodes.as_ptr();
         pooled.reset_from(small.clone(), 2);
         let mut fresh = UnfoldState::new(small, 2);
-        assert_eq!(pooled.remaining, fresh.remaining);
-        assert_eq!(pooled.waiting_preds, fresh.waiting_preds);
+        assert_eq!(pooled.nodes, fresh.nodes);
+        assert_eq!(pooled.claim_head, fresh.claim_head);
         assert_eq!(pooled.remaining_total(), fresh.remaining_total());
         assert_eq!(pooled.scale(), fresh.scale());
         assert_eq!(pooled.completed_nodes(), 0);
@@ -556,8 +568,8 @@ mod tests {
             "FIFO ready order must match a fresh unfold"
         );
         assert_eq!(
-            pooled.remaining.as_ptr(),
-            remaining_ptr,
+            pooled.nodes.as_ptr(),
+            ptr,
             "reset within capacity must not reallocate"
         );
         // The reset state unfolds exactly like the fresh one.

@@ -7,9 +7,11 @@
 //! the recycled state is (arbitrary partial unfold of an unrelated DAG),
 //! after `reset_from(spec, scale)` it must be indistinguishable from
 //! `UnfoldState::new(spec, scale)` under every observable and under any
-//! interleaving of `advance` / `advance_bulk` the engine can issue.
+//! interleaving of `advance` / `advance_bulk` / `claim` / `release_claims`
+//! the engine can issue. A reset state has no claimed node, and claims
+//! never move the ready order or any remaining work.
 
-use dagsched_core::{NodeId, Rng64};
+use dagsched_core::{NodeId, Rng64, Work};
 use dagsched_dag::{gen, UnfoldState};
 use proptest::prelude::*;
 
@@ -28,6 +30,7 @@ fn assert_observably_equal(pooled: &UnfoldState, fresh: &UnfoldState) {
     );
     for v in 0..n as u32 {
         assert_eq!(pooled.is_ready(NodeId(v)), fresh.is_ready(NodeId(v)));
+        assert_eq!(pooled.is_claimed(NodeId(v)), fresh.is_claimed(NodeId(v)));
         assert_eq!(
             pooled.node_remaining(NodeId(v)),
             fresh.node_remaining(NodeId(v))
@@ -36,16 +39,35 @@ fn assert_observably_equal(pooled: &UnfoldState, fresh: &UnfoldState) {
     assert_eq!(pooled.remaining_span(), fresh.remaining_span());
 }
 
-/// Drive a state with `ops` random steps (or until complete), mixing
-/// completing `advance` calls with non-completing `advance_bulk` calls
-/// exactly as the fast-forward engine does. Both states receive the same
-/// rng, hence the same interleaving.
+/// Every node's remaining work, ready nodes first in FIFO order.
+fn progress(s: &UnfoldState) -> Vec<(NodeId, Work)> {
+    let all = (0..s.spec().num_nodes() as u32).map(NodeId);
+    s.ready_iter()
+        .chain(all)
+        .map(|v| (v, s.node_remaining(v)))
+        .collect()
+}
+
+/// Drive a state one random step, mixing completing `advance` calls with
+/// non-completing `advance_bulk` calls exactly as the fast-forward engine
+/// does, plus claims and releases, which must leave the ready order and
+/// every remaining work untouched. Both states receive the same rng, hence
+/// the same interleaving.
 fn step(state: &mut UnfoldState, rng: &mut Rng64) {
     let k = state.ready_count();
     debug_assert!(k > 0);
     let pick = state.ready_prefix(k)[rng.gen_range(k as u64) as usize];
     let rem = state.node_remaining(pick).units();
-    if rem >= 2 && rng.gen_range(3) == 0 {
+    if rng.gen_range(4) == 0 {
+        let (before, was) = (progress(state), state.is_claimed(pick));
+        if was {
+            state.release_claims();
+        } else {
+            state.claim(pick);
+        }
+        assert_ne!(state.is_claimed(pick), was);
+        assert_eq!(progress(state), before, "a claim moved ready order or work");
+    } else if rem >= 2 && rng.gen_range(3) == 0 {
         // Bulk path: must strictly not complete the node.
         state.advance_bulk(pick, 1 + rng.gen_range(rem - 1));
     } else {
@@ -80,6 +102,7 @@ proptest! {
         let spec = gen::random_dag(&mut rng, target_n, 0.25, (1, 6)).into_shared();
         pooled.reset_from(spec.clone(), scale);
         let mut fresh = UnfoldState::new(spec, scale);
+        prop_assert!((0..target_n).all(|v| !pooled.is_claimed(NodeId(v))));
         assert_observably_equal(&pooled, &fresh);
 
         // Lockstep-unfold both to completion under one interleaving,

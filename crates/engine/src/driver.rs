@@ -120,9 +120,10 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
     ///
     /// # Panics
     /// When the platform configuration is inconsistent with the instance
-    /// (group total ≠ `m`). [`simulate`](crate::simulate) and
-    /// [`simulate_observed`](crate::simulate_observed) pre-validate via
-    /// [`SimConfig::resolve_groups`] and surface this as an error instead.
+    /// (group total ≠ `m`), and at admission when a job's work overflows
+    /// `u64` once scaled to the platform. [`simulate`](crate::simulate) and
+    /// [`simulate_observed`](crate::simulate_observed) check both up front
+    /// and surface them as errors instead.
     pub fn with_observer(
         inst: &'a Instance,
         sched: &'a mut dyn OnlineScheduler,
@@ -381,19 +382,15 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
             let mut min_q = u64::MAX;
             let mut procs = self.platform.procs();
             'claim: for &(id, k) in &sc.alloc {
-                let l = self.life.live[id.index()]
-                    .as_mut()
-                    .expect("validated alive");
-                self.picker
-                    .pick_into(&l.state, &l.busy, k as usize, &mut sc.picked);
+                let l = self.life.state_mut(id);
+                self.picker.pick_into(l, k as usize, &mut sc.picked);
                 for &node in &sc.picked {
-                    l.busy[node.index()] = true;
-                    l.dirty.push(node.0);
+                    l.claim(node);
                     // The i-th picked node binds to the i-th processor the
                     // entry consumes — the same pairing the reference
                     // path's per-processor loop realizes.
                     let pu = procs.next_units();
-                    let q = ticks_to_complete(l.state.node_remaining(node).units(), pu);
+                    let q = ticks_to_complete(l.node_remaining(node).units(), pu);
                     min_q = min_q.min(q);
                     if min_q <= 1 && self.kernel_on {
                         break 'claim;
@@ -402,6 +399,11 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
                 }
                 // Processors the entry was granted beyond its ready nodes.
                 procs.skip(k - sc.picked.len() as u32);
+            }
+            // The marks only kept this pass's picks distinct; a fallback
+            // reference tick re-picks the same nodes from a clean slate.
+            for &(id, _) in &sc.alloc {
+                self.life.state_mut(id).release_claims();
             }
             // The window engages when nodes were claimed, or when a bounded
             // scheduler idles *deliberately*: an empty allocation with alive
@@ -459,10 +461,7 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
                 // fire.
                 let mut total = 0u64;
                 for &(id, node, pu) in &sc.claimed {
-                    let l = self.life.live[id.index()]
-                        .as_mut()
-                        .expect("claimed implies live");
-                    l.state.advance_bulk(node, s * pu);
+                    self.life.state_mut(id).advance_bulk(node, s * pu);
                     total += s * pu;
                 }
                 self.platform.record_units(total);
@@ -485,25 +484,12 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
                     };
                     self.obs.on_window(t, s, vj, &sc.alloc, &sc.progress);
                 }
-                for &(id, _) in &sc.alloc {
-                    self.life.live[id.index()]
-                        .as_mut()
-                        .expect("validated alive")
-                        .release_claims();
-                }
                 self.clock.advance_window(s);
                 return Ok(true);
             }
-            // A completion is due this tick (or nothing was claimed):
-            // release the claim marks and run the tick on the reference
-            // path below (which re-picks the same nodes and handles
-            // completion, carryover and unlocking).
-            for &(id, _) in &sc.alloc {
-                self.life.live[id.index()]
-                    .as_mut()
-                    .expect("validated alive")
-                    .release_claims();
-            }
+            // A completion is due this tick (or nothing was claimed): run
+            // the tick on the reference path below (which re-picks the same
+            // nodes and handles completion, carryover and unlocking).
         }
 
         // 6. Execute (reference path).
@@ -516,15 +502,13 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
         let mut procs = self.platform.procs();
         let mut tick_units = 0u64;
         for &(id, k) in &sc.alloc {
-            let l = self.life.live[id.index()]
-                .as_mut()
-                .expect("validated alive");
+            let l = self.life.state_mut(id);
             let mut entry_units = 0u64;
             // Nodes that become ready *during* this tick may only be
             // continued by the processor whose completion unlocked them —
             // any other processor has already spent this tick's time.
-            // They are marked busy globally and kept in a per-processor
-            // continuation list.
+            // They are claimed for the rest of the tick and kept in a
+            // per-processor continuation list.
             for _ in 0..k {
                 let mut budget = procs.next_units();
                 sc.continuations.clear();
@@ -532,18 +516,17 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
                     let node = match sc.continuations.pop() {
                         Some(n) => n,
                         None => {
-                            self.picker.pick_into(&l.state, &l.busy, 1, &mut sc.picked);
+                            self.picker.pick_into(l, 1, &mut sc.picked);
                             match sc.picked.first() {
                                 Some(&n) => {
-                                    l.busy[n.index()] = true;
-                                    l.dirty.push(n.0);
+                                    l.claim(n);
                                     n
                                 }
                                 None => break,
                             }
                         }
                     };
-                    let (consumed, node_finished) = l.state.advance(node, budget);
+                    let (consumed, node_finished) = l.advance(node, budget);
                     entry_units += consumed;
                     budget -= consumed;
                     if !node_finished {
@@ -554,19 +537,10 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
                     }
                     // Lock newly-ready successors for the rest of the tick;
                     // this processor may continue into them if allowed.
-                    // (Disjoint field borrows: the spec is read through
-                    // `l.state` while `l.busy`/`l.dirty` mutate — no Arc
-                    // clone per completed node.)
-                    for &succ in l.state.spec().successors(node) {
-                        if l.state.is_ready(succ) && !l.busy[succ.index()] {
-                            l.busy[succ.index()] = true;
-                            l.dirty.push(succ.0);
-                            if self.cfg.carryover {
-                                sc.continuations.push(succ);
-                            }
-                        }
-                    }
-                    if !self.cfg.carryover {
+                    if self.cfg.carryover {
+                        l.claim_ready_successors(node, |succ| sc.continuations.push(succ));
+                    } else {
+                        l.claim_ready_successors(node, |_| {});
                         break;
                     }
                 }
@@ -576,7 +550,7 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
             if self.observing {
                 sc.progress.push((id, entry_units));
             }
-            if l.state.is_complete() {
+            if l.is_complete() {
                 sc.completions.push(id);
             }
         }
@@ -599,10 +573,7 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
         // — their removal in phase 7 covers it. (After the observer call:
         // the window payload carries the view the *scheduler* saw.)
         for &(id, _) in &sc.alloc {
-            let l = self.life.live[id.index()]
-                .as_ref()
-                .expect("validated alive");
-            if !l.state.is_complete() {
+            if !self.life.state_mut(id).is_complete() {
                 self.life.patch_ready(id);
             }
         }

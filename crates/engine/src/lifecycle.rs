@@ -1,9 +1,10 @@
 //! The lifecycle layer: the arrival → (expiry | completion) state machine.
 //!
 //! A [`Lifecycle`] owns every per-job state the engine keeps — the dense
-//! slab of unfolded DAG states (`Live`), the arrival cursor, the alive
-//! list (always in arrival order), terminal outcomes, and earned profit —
-//! and the three transitions a job can make:
+//! slab of [`UnfoldState`]s (each job's node records, claim marks
+//! included), the arrival cursor, the alive list (always in arrival
+//! order), terminal outcomes, and earned profit — and the three
+//! transitions a job can make:
 //!
 //! * `admit_arrivals` materializes every job
 //!   with `arrival ≤ t` and runs the scheduler's and observer's arrival
@@ -27,32 +28,11 @@ use dagsched_workload::JobSpec;
 /// Sentinel slot index for "not in the view".
 const NO_SLOT: u32 = u32::MAX;
 
-/// Per-alive-job engine bookkeeping.
-pub(crate) struct Live {
-    /// Unfolded DAG execution state.
-    pub(crate) state: UnfoldState,
-    /// Nodes claimed by a processor in the current tick (dense by node id);
-    /// cleared via `dirty` after the tick.
-    pub(crate) busy: Vec<bool>,
-    pub(crate) dirty: Vec<u32>,
-}
-
-impl Live {
-    /// Release every node claimed this tick (the single place the
-    /// busy/dirty scratch pair is unwound).
-    #[inline]
-    pub(crate) fn release_claims(&mut self) {
-        for d in self.dirty.drain(..) {
-            self.busy[d as usize] = false;
-        }
-    }
-}
-
 /// The per-job state machine of one run. See the [module docs](self).
 pub struct Lifecycle {
     /// Live execution state, dense by job index (`None` = not arrived or
     /// already terminal).
-    pub(crate) live: Vec<Option<Live>>,
+    pub(crate) live: Vec<Option<UnfoldState>>,
     /// Terminal (or at-horizon) outcome per job.
     pub(crate) outcomes: Vec<JobStatus>,
     /// Arrived, unfinished, unexpired jobs — in arrival order.
@@ -76,17 +56,17 @@ pub struct Lifecycle {
     pub(crate) next_arrival: usize,
     /// Σ profit of completed jobs.
     pub(crate) total_profit: u64,
-    /// Free list of retired [`Live`] slots. Terminal transitions push here
+    /// Free list of retired unfold states. Terminal transitions push here
     /// instead of dropping, and `admit_arrivals` pops + `reset_from`s, so an
     /// arrival storm is allocation-free once the pool reaches the high-water
     /// mark of concurrently alive jobs.
-    pool: Vec<Live>,
+    pool: Vec<UnfoldState>,
 }
 
 impl Lifecycle {
     /// Fresh state for an instance of `n` jobs.
     pub(crate) fn new(n: usize) -> Lifecycle {
-        let mut live: Vec<Option<Live>> = Vec::with_capacity(n);
+        let mut live: Vec<Option<UnfoldState>> = Vec::with_capacity(n);
         live.resize_with(n, || None);
         Lifecycle {
             live,
@@ -105,6 +85,12 @@ impl Lifecycle {
     #[cfg(test)]
     pub(crate) fn pool_len(&self) -> usize {
         self.pool.len()
+    }
+
+    /// The unfold state of `id`, which validation has shown to be alive.
+    #[inline]
+    pub(crate) fn state_mut(&mut self, id: JobId) -> &mut UnfoldState {
+        self.live[id.index()].as_mut().expect("job is alive")
     }
 
     /// Jobs currently alive, in arrival order.
@@ -129,7 +115,7 @@ impl Lifecycle {
     /// a patch.
     pub(crate) fn patch_ready(&mut self, id: JobId) {
         let l = self.live[id.index()].as_ref().expect("patched job is live");
-        let rc = l.state.ready_count() as u32;
+        let rc = l.ready_count() as u32;
         let pos = self.slot[id.index()] as usize;
         debug_assert!(pos != NO_SLOT as usize, "patched job is in the view");
         if self.view[pos].1 != rc {
@@ -212,23 +198,15 @@ impl Lifecycle {
         let first = self.next_arrival;
         while self.next_arrival < jobs.len() && jobs[self.next_arrival].arrival <= t {
             let job = &jobs[self.next_arrival];
-            let mut slot = match self.pool.pop() {
+            let state = match self.pool.pop() {
                 Some(mut recycled) => {
-                    recycled.state.reset_from(job.dag.clone(), scale);
+                    recycled.reset_from(job.dag.clone(), scale);
                     recycled
                 }
-                None => Live {
-                    state: UnfoldState::new(job.dag.clone(), scale),
-                    busy: Vec::new(),
-                    dirty: Vec::new(),
-                },
+                None => UnfoldState::new(job.dag.clone(), scale),
             };
-            let nodes = slot.state.spec().num_nodes();
-            slot.busy.clear();
-            slot.busy.resize(nodes, false);
-            slot.dirty.clear();
-            let ready0 = slot.state.ready_count() as u32;
-            self.live[job.id.index()] = Some(slot);
+            let ready0 = state.ready_count() as u32;
+            self.live[job.id.index()] = Some(state);
             self.alive.push(job.id);
             self.slot[job.id.index()] = self.view.len() as u32;
             self.view.push((job.id, ready0));
@@ -286,7 +264,8 @@ impl Lifecycle {
 
     /// Indexed variant of [`expire_hopeless`](Self::expire_hopeless): pull
     /// the due expiries from the kernel's sorted boundary index instead of
-    /// rescanning every alive job. O(due · log n) against the scan's
+    /// rescanning every alive job. O(due · log n) plus the compaction of
+    /// the alive tail behind the first due job, against the scan's
     /// O(alive) — and O(1) on the (typical) step where nothing is due.
     ///
     /// Byte-identical to the scan by construction: the kernel returns due
@@ -306,18 +285,13 @@ impl Lifecycle {
         if expired.is_empty() {
             return false;
         }
-        // `alive` and `expired` are both ascending: one merge pass.
-        let mut next = 0;
-        self.alive.retain(|&id| {
-            if next < expired.len() && expired[next] == id {
-                next += 1;
-                false
-            } else {
-                true
-            }
-        });
-        debug_assert_eq!(next, expired.len(), "every due expiry must be alive");
+        // `alive` is parallel to the view, so once the view is compacted
+        // its tail from the first expired position is the new alive tail.
+        let first = self.slot[expired[0].index()] as usize;
         self.remove_batch_from_view(expired);
+        self.alive.truncate(first);
+        self.alive
+            .extend(self.view[first..].iter().map(|&(id, _)| id));
         for &id in expired.iter() {
             self.outcomes[id.index()] = JobStatus::Expired { at: t };
             if let Some(slot) = self.live[id.index()].take() {
@@ -367,7 +341,7 @@ mod tests {
     use super::*;
     use crate::observe::NullObserver;
     use crate::sched_api::{Allocation, TickView};
-    use dagsched_core::{JobId, Time};
+    use dagsched_core::{JobId, NodeId, Time};
     use dagsched_dag::gen;
     use dagsched_workload::StepProfitFn;
 
@@ -406,7 +380,8 @@ mod tests {
         assert!(lc.admit_arrivals(&jobs, Time(1), 1, &mut sched, &mut obs));
         assert_eq!(lc.pool_len(), 0);
 
-        // Complete job 0: its slot must land in the pool, not be dropped.
+        // Complete job 0 mid-claim: its state must land in the pool.
+        lc.live[0].as_mut().unwrap().claim(NodeId(0));
         lc.complete(&jobs, Time(1), &[JobId(0)], &mut sched, &mut obs);
         assert_eq!(lc.pool_len(), 1);
 
@@ -414,11 +389,9 @@ mod tests {
         assert!(lc.admit_arrivals(&jobs, Time(2), 1, &mut sched, &mut obs));
         assert_eq!(lc.pool_len(), 0);
         let l = lc.live[2].as_ref().expect("job 2 alive");
-        assert_eq!(l.busy.len(), 3);
-        assert!(l.busy.iter().all(|&b| !b));
-        assert!(l.dirty.is_empty());
-        assert_eq!(l.state.ready_count(), 1);
-        assert_eq!(l.state.remaining_total(), dag.total_work());
+        assert!((0..3).all(|v| !l.is_claimed(NodeId(v))));
+        assert_eq!(l.ready_count(), 1);
+        assert_eq!(l.remaining_total(), dag.total_work());
 
         // Deadline 1 relative to arrival: by a late enough tick every alive
         // job (1 and 2) is hopeless; both slots return to the pool.

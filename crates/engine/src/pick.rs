@@ -14,6 +14,9 @@
 //!   producing the `(W−L)/m + L` worst case of Theorem 1;
 //! * [`NodePick::CriticalPathFirst`] — the clairvoyant *friendly* policy
 //!   (longest-path-first list scheduling), used by the offline baselines.
+//!
+//! Every policy chooses among ready nodes not yet claimed this tick
+//! ([`UnfoldState::is_claimed`]), so no two processors run one node.
 
 use dagsched_core::{NodeId, Rng64};
 use dagsched_dag::{DagJobSpec, UnfoldState};
@@ -37,7 +40,7 @@ pub enum NodePick {
 }
 
 impl NodePick {
-    /// Whether repeated picks over an unchanged ready/busy state return the
+    /// Whether repeated picks over an unchanged ready/claim state return the
     /// same nodes without consuming per-call state — the property the
     /// engine's event-driven fast-forward path relies on.
     ///
@@ -76,25 +79,17 @@ impl Picker {
         }
     }
 
-    /// Choose up to `k` distinct ready nodes of `state`, excluding any in
-    /// `busy` (nodes already claimed by another processor this tick).
-    ///
-    /// `busy` is a dense bool map indexed by node id.
-    pub fn pick(&mut self, state: &UnfoldState, busy: &[bool], k: usize) -> Vec<NodeId> {
+    /// Choose up to `k` distinct ready nodes of `state`, excluding any
+    /// already claimed by another processor this tick.
+    pub fn pick(&mut self, state: &UnfoldState, k: usize) -> Vec<NodeId> {
         let mut out = Vec::new();
-        self.pick_into(state, busy, k, &mut out);
+        self.pick_into(state, k, &mut out);
         out
     }
 
     /// Like [`pick`](Self::pick), but writes into a caller-provided buffer
     /// (cleared first) so the engine's hot loop allocates nothing per call.
-    pub fn pick_into(
-        &mut self,
-        state: &UnfoldState,
-        busy: &[bool],
-        k: usize,
-        out: &mut Vec<NodeId>,
-    ) {
+    pub fn pick_into(&mut self, state: &UnfoldState, k: usize, out: &mut Vec<NodeId>) {
         out.clear();
         if k == 0 {
             return;
@@ -102,17 +97,17 @@ impl Picker {
         match self.policy {
             NodePick::Fifo => {
                 // One pass, stops after k: no full ready-set scan.
-                out.extend(state.ready_iter().filter(|n| !busy[n.index()]).take(k));
+                out.extend(state.unclaimed_iter().take(k));
             }
             NodePick::Lifo => {
-                out.extend(state.ready_iter().filter(|n| !busy[n.index()]));
+                out.extend(state.unclaimed_iter());
                 out.reverse();
                 out.truncate(k);
             }
             NodePick::Random(_) => {
                 // Reservoir sample of size k over the eligible nodes, then
                 // restore a deterministic order (by reservoir fill order).
-                for (i, n) in state.ready_iter().filter(|n| !busy[n.index()]).enumerate() {
+                for (i, n) in state.unclaimed_iter().enumerate() {
                     if i < k {
                         out.push(n);
                     } else {
@@ -125,7 +120,7 @@ impl Picker {
             }
             NodePick::AdversarialLowHeight | NodePick::CriticalPathFirst => {
                 let rank = self.rank_for(state.spec());
-                out.extend(state.ready_iter().filter(|n| !busy[n.index()]));
+                out.extend(state.unclaimed_iter());
                 // The precomputed rank is a total order consistent with the
                 // policy's (height, id) key, so "k smallest ranks, in rank
                 // order" reproduces the old sort-and-truncate exactly —
@@ -174,15 +169,10 @@ mod tests {
         UnfoldState::new(gen::fig1(2, 4, 1).into_shared(), 1)
     }
 
-    fn no_busy(state: &UnfoldState) -> Vec<bool> {
-        vec![false; state.spec().num_nodes()]
-    }
-
     #[test]
     fn fifo_takes_readiness_order() {
         let st = fig1ish();
-        let busy = no_busy(&st);
-        let picked = Picker::new(NodePick::Fifo).pick(&st, &busy, 3);
+        let picked = Picker::new(NodePick::Fifo).pick(&st, 3);
         // Initial ready set: chain head (0) then block nodes (4, 5, ...).
         assert_eq!(picked, vec![NodeId(0), NodeId(4), NodeId(5)]);
     }
@@ -190,16 +180,14 @@ mod tests {
     #[test]
     fn lifo_takes_reverse_order() {
         let st = fig1ish();
-        let busy = no_busy(&st);
-        let picked = Picker::new(NodePick::Lifo).pick(&st, &busy, 2);
+        let picked = Picker::new(NodePick::Lifo).pick(&st, 2);
         assert_eq!(picked, vec![NodeId(7), NodeId(6)]);
     }
 
     #[test]
     fn adversary_avoids_the_chain() {
         let st = fig1ish();
-        let busy = no_busy(&st);
-        let picked = Picker::new(NodePick::AdversarialLowHeight).pick(&st, &busy, 4);
+        let picked = Picker::new(NodePick::AdversarialLowHeight).pick(&st, 4);
         // Chain head has height 4; block nodes height 1 — adversary takes
         // blocks first.
         assert!(!picked.contains(&NodeId(0)), "{picked:?}");
@@ -209,19 +197,20 @@ mod tests {
     #[test]
     fn critical_path_first_takes_the_chain_head() {
         let st = fig1ish();
-        let busy = no_busy(&st);
-        let picked = Picker::new(NodePick::CriticalPathFirst).pick(&st, &busy, 1);
+        let picked = Picker::new(NodePick::CriticalPathFirst).pick(&st, 1);
         assert_eq!(picked, vec![NodeId(0)]);
     }
 
     #[test]
-    fn busy_nodes_are_excluded() {
-        let st = fig1ish();
-        let mut busy = no_busy(&st);
-        busy[0] = true;
-        busy[4] = true;
-        let picked = Picker::new(NodePick::Fifo).pick(&st, &busy, 2);
+    fn claimed_nodes_are_excluded() {
+        let mut st = fig1ish();
+        st.claim(NodeId(0));
+        st.claim(NodeId(4));
+        let picked = Picker::new(NodePick::Fifo).pick(&st, 2);
         assert_eq!(picked, vec![NodeId(5), NodeId(6)]);
+        st.release_claims();
+        let picked = Picker::new(NodePick::Fifo).pick(&st, 2);
+        assert_eq!(picked, vec![NodeId(0), NodeId(4)]);
     }
 
     #[test]
@@ -230,19 +219,17 @@ mod tests {
         b.add_node(Work(1));
         b.add_node(Work(1));
         let st = UnfoldState::new(b.build().unwrap().into_shared(), 1);
-        let busy = vec![false; 2];
-        let picked = Picker::new(NodePick::Fifo).pick(&st, &busy, 10);
+        let picked = Picker::new(NodePick::Fifo).pick(&st, 10);
         assert_eq!(picked.len(), 2);
-        let picked = Picker::new(NodePick::Fifo).pick(&st, &busy, 0);
+        let picked = Picker::new(NodePick::Fifo).pick(&st, 0);
         assert!(picked.is_empty());
     }
 
     #[test]
     fn random_is_seed_deterministic_and_distinct() {
         let st = fig1ish();
-        let busy = no_busy(&st);
-        let a = Picker::new(NodePick::Random(9)).pick(&st, &busy, 3);
-        let b = Picker::new(NodePick::Random(9)).pick(&st, &busy, 3);
+        let a = Picker::new(NodePick::Random(9)).pick(&st, 3);
+        let b = Picker::new(NodePick::Random(9)).pick(&st, 3);
         assert_eq!(a, b);
         assert_eq!(a.len(), 3);
         let mut dedup = a.clone();

@@ -91,7 +91,7 @@ impl ViewRebuild {
         out.clear();
         for &id in life.alive() {
             let l = life.live[id.index()].as_ref().expect("alive implies live");
-            out.push((id, l.state.ready_count() as u32));
+            out.push((id, l.ready_count() as u32));
         }
     }
 }

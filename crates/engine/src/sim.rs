@@ -32,7 +32,7 @@ use crate::observe::SimObserver;
 use crate::pick::NodePick;
 use crate::result::SimResult;
 use crate::sched_api::OnlineScheduler;
-use dagsched_core::{MachineGroups, Result, SchedError, Speed, Time};
+use dagsched_core::{scale_work, MachineGroups, Result, SchedError, Speed, Time};
 use dagsched_workload::Instance;
 
 /// How the per-step scheduler handoff (view construction + allocation) is
@@ -157,14 +157,15 @@ impl SimConfig {
 /// scheduler ever over-subscribes processors, allocates to a job that is not
 /// alive, allocates zero processors, or repeats a job within one tick.
 /// [`SchedError::InvalidInstance`] if the configured platform is
-/// inconsistent with the instance (see [`SimConfig::resolve_groups`]).
+/// inconsistent with the instance (see [`SimConfig::resolve_groups`]), or
+/// if some job's work overflows `u64` once scaled to the platform.
 /// Engine-model violations are bugs and surface as panics, not errors.
 pub fn simulate(
     inst: &Instance,
     sched: &mut dyn OnlineScheduler,
     cfg: &SimConfig,
 ) -> Result<SimResult> {
-    cfg.resolve_groups(inst.m())?;
+    check_platform(inst, cfg)?;
     SimDriver::new(inst, sched, cfg).finish()
 }
 
@@ -187,8 +188,17 @@ pub fn simulate_observed(
     cfg: &SimConfig,
     obs: &mut dyn SimObserver,
 ) -> Result<SimResult> {
-    cfg.resolve_groups(inst.m())?;
+    check_platform(inst, cfg)?;
     SimDriver::with_observer(inst, sched, cfg, obs).finish()
+}
+
+/// Check up front that the groups resolve and that every job's total work
+/// (hence every node's) still fits in a `u64` after the work scale.
+fn check_platform(inst: &Instance, cfg: &SimConfig) -> Result<()> {
+    let scale = cfg.resolve_groups(inst.m())?.work_scale();
+    inst.jobs()
+        .iter()
+        .try_for_each(|job| scale_work(job.work().units(), scale).map(drop))
 }
 
 #[cfg(test)]

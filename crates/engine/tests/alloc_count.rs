@@ -1,14 +1,15 @@
-//! Zero heap allocations per arrival once the lifecycle pool is warm.
+//! Heap allocations per arrival: none once the lifecycle pool is warm.
 //!
 //! This binary installs a counting global allocator (test-only — each
 //! integration test file is its own binary, so the counter never leaks into
-//! other suites) and drives an arrival storm of identical small jobs through
+//! other suites) and drives arrival storms of identical small jobs through
 //! the real `SimDriver`. After a warm-up prefix lets the pool reach its
 //! high-water mark, the remaining hundreds of arrivals, completions, and
-//! ticks must not touch the allocator at all: `Live` slots come from the
+//! ticks must not touch the allocator at all: unfold states come from the
 //! pool, `reset_from` reuses its vectors, the `JobInfo` profit clone is an
 //! `Arc` bump, and the scheduler's `allocate_into` writes into the hoisted
-//! buffer.
+//! buffer. With every job alive at once the pool never recycles, and an
+//! admission pays only for its node records.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -94,20 +95,21 @@ impl OnlineScheduler for LeanGreedy {
     }
 }
 
-/// An arrival storm: `n` identical 3-node chain jobs, one arriving per tick,
-/// generous deadlines so nothing expires. A chain job occupies one processor
+/// An arrival storm: `n` identical 3-node chain jobs of `work` per node,
+/// `per_tick` arriving per tick, generous deadlines so nothing expires.
+/// At one per tick and work 2 a chain job occupies one processor
 /// for 6 ticks, so `m = 8` keeps the service rate (8/6 jobs per tick) above
 /// the arrival rate (1 per tick): the alive set — and with it the pool's
 /// high-water mark — stays bounded while arrivals keep churning slots. (An
 /// overloaded platform would grow the alive set forever and the pool would
 /// never see a completion.)
-fn storm_instance(n: u32) -> Instance {
-    let dag = gen::chain(3, 2).into_shared();
+fn storm(n: u32, per_tick: u32, work: u64) -> Instance {
+    let dag = gen::chain(3, work).into_shared();
     let jobs: Vec<JobSpec> = (0..n)
         .map(|i| {
             JobSpec::new(
                 JobId(i),
-                Time(u64::from(i)),
+                Time(u64::from(i / per_tick)),
                 dag.clone(),
                 StepProfitFn::deadline(Time(1_000_000), 1),
             )
@@ -118,7 +120,7 @@ fn storm_instance(n: u32) -> Instance {
 
 #[test]
 fn warm_pool_arrivals_do_not_allocate() {
-    let inst = storm_instance(600);
+    let inst = storm(600, 1, 2);
     let cfg = SimConfig::default();
     let mut sched = LeanGreedy;
     let mut driver = SimDriver::new(&inst, &mut sched, &cfg);
@@ -144,4 +146,22 @@ fn warm_pool_arrivals_do_not_allocate() {
     // completed with its profit.
     let result = driver.finish().expect("finish runs");
     assert_eq!(result.total_profit, 600);
+}
+
+#[test]
+fn cold_storm_arrivals_pay_at_most_two_allocations_each() {
+    // Jobs 3000 ticks long, 4 arriving per tick: all alive, pool empty.
+    let n = 400;
+    let inst = storm(n, 4, 1000);
+    let cfg = SimConfig::default();
+    let mut sched = LeanGreedy;
+    let mut driver = SimDriver::new(&inst, &mut sched, &cfg);
+    let (before, after_arrivals) = (allocations(), Time(u64::from(n / 4)));
+    driver.run_until(after_arrivals).expect("storm runs");
+    let delta = allocations() - before;
+    assert_eq!(driver.lifecycle().alive().len(), n as usize);
+    assert!(
+        delta <= 2 * u64::from(n),
+        "expected at most 2 allocations per cold admission, got {delta} for {n} jobs"
+    );
 }

@@ -15,7 +15,7 @@
 //! proving the flag actually changes the outcome on that workload.
 
 use dagsched_core::Speed;
-use dagsched_engine::{simulate, NodePick, SimConfig};
+use dagsched_engine::{simulate, simulate_observed, NodePick, SimConfig};
 use dagsched_fuzz::cli::replay_instance;
 use dagsched_fuzz::ir::fnv1a;
 use dagsched_fuzz::oracle::{run_exec_with, OracleSet, Subject};
@@ -145,6 +145,26 @@ fn u64_extreme_fixtures_replay_clean() {
         "u64-value.txt",
     ] {
         assert_replays_clean(name);
+    }
+}
+
+/// A node of work 2^64 − 1 fits at speeds 1 and 2 (work scale 1) but not
+/// at 3/2, where the engine scales work by 2: `simulate` and
+/// `simulate_observed` must refuse that platform with an error up front,
+/// never panic at admission.
+#[test]
+fn u64_work_fixture_at_a_fractional_speed_is_an_error() {
+    let inst = codec::decode(&fixture("u64-work.txt")).expect("fixture decodes");
+    for (num, den, fits) in [(1, 1, true), (3, 2, false), (2, 1, true)] {
+        let cfg = SimConfig::at_speed(Speed::new(num, den).expect("valid speed"));
+        let plain = simulate(&inst, &mut Fifo::new(inst.m()), &cfg);
+        let mut log = dagsched_verify::EventLog::new();
+        let observed = simulate_observed(&inst, &mut Fifo::new(inst.m()), &cfg, &mut log);
+        assert_eq!(plain.is_ok(), fits, "speed {num}/{den}: {plain:?}");
+        assert_eq!(observed.is_ok(), fits, "speed {num}/{den}: {observed:?}");
+        if let Err(e) = plain {
+            assert!(e.to_string().contains("overflows u64"), "{e}");
+        }
     }
 }
 
